@@ -31,7 +31,7 @@ from .counting import (
     verify_sum_formula,
 )
 from .exports import export_dot, export_json, lattice_report
-from .lattice import ExtensionLattice, LatticeBudgetExceeded
+from .lattice import ExtensionLattice, InvalidNodeBudget, LatticeBudgetExceeded
 from .minimal import edge_labels
 from .specfile import SpecError, parse_spec
 from .spectrum import is_unramified
@@ -284,10 +284,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         payload, code = args.fn(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except LatticeBudgetExceeded as exc:
+    except (SpecError, LatticeBudgetExceeded, InvalidNodeBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as exc:

@@ -25,10 +25,9 @@ def _witness_mask(top, B, kind):
     (kind 's'), r = 1 (kind 'u') or r ranges over B (kind 't').
     """
     arr = top.elements_array()
-    C = top.npC
     orders = top.np_orders
-    b2 = np.einsum("ai,aj,ijk->ak", arr, arr, C) % orders
-    b3 = np.einsum("ai,aj,ijk->ak", b2, arr, C) % orders
+    b2 = top.mul_rows(arr, arr)
+    b3 = top.mul_rows(b2, arr)
     if kind == "s":
         return B.contains_many(b2) & B.contains_many(b3)
     if kind == "u":
@@ -37,22 +36,23 @@ def _witness_mask(top, B, kind):
         )
     assert kind == "t"
     Barr = B.elements_array()
+    mats = top.mul_matrices(Barr)
+    n = top.rank
     out = np.zeros(len(arr), dtype=bool)
-    # chunk the b-axis so the pairwise (r, b) arrays stay small
-    chunk = max(1, 10**6 // max(1, B.size * top.rank))
+    # chunk the b-axis so the pairwise (b, r) arrays stay small
+    chunk = max(1, 10**6 // max(1, B.size * n))
     for lo in range(0, len(arr), chunk):
         a = arr[lo:lo + chunk]
         q2 = b2[lo:lo + chunk]
         q3 = b3[lo:lo + chunk]
-        rb = np.einsum("bi,aj,ijk->bak", Barr, a, C) % orders
-        rb2 = np.einsum("bi,aj,ijk->bak", Barr, q2, C) % orders
-        v1 = (q2[None, :, :] - rb) % orders
-        v2 = (q3[None, :, :] - rb2) % orders
-        n = top.rank
+        rb = top.mul_pairs(a, Barr, mats)
+        rb2 = top.mul_pairs(q2, Barr, mats)
+        v1 = (q2[:, None, :] - rb) % orders
+        v2 = (q3[:, None, :] - rb2) % orders
         ok = B.contains_many(v1.reshape(-1, n)) & B.contains_many(
             v2.reshape(-1, n)
         )
-        out[lo:lo + chunk] = ok.reshape(rb.shape[:2]).any(axis=0)
+        out[lo:lo + chunk] = ok.reshape(rb.shape[:2]).any(axis=1)
     return out
 
 

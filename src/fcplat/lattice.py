@@ -18,10 +18,19 @@ class LatticeBudgetExceeded(RuntimeError):
     pass
 
 
+class InvalidNodeBudget(ValueError):
+    pass
+
+
 def _max_nodes_default():
     env = os.environ.get("FCPLAT_MAX_NODES")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise InvalidNodeBudget(
+                f"FCPLAT_MAX_NODES must be an integer, got {env!r}"
+            ) from None
     return DEFAULT_MAX_NODES
 
 

@@ -32,21 +32,26 @@ class FiniteRing:
         self.orders = tuple(int(d) for d in orders)
         n = len(self.orders)
         self.rank = n
-        self.table = tuple(
-            tuple(tuple(int(c) % self.orders[k] for k, c in enumerate(cell))
-                  for cell in row)
-            for row in table
-        )
-        self.one = tuple(int(c) % self.orders[k] for k, c in enumerate(one))
         self.label = label
         if n == 0:
             raise RingConstructionError("the zero ring is excluded")
+        self.np_orders = np.array(self.orders, dtype=np.int64)
+        self.np_orders.flags.writeable = False
+        C = np.array(table, dtype=np.int64)
+        if C.shape != (n, n, n):
+            raise RingConstructionError(
+                "structure constants must form a rank x rank x rank table"
+            )
+        # npC[i, j, k] is the e_k-coefficient of e_i * e_j
+        self.npC = C % self.np_orders
+        self.npC.flags.writeable = False
+        self._table = None
+        self.one = tuple(int(c) % d for c, d in zip(one, self.orders))
         self.L = self.orders[0]
         size = 1
         for d in self.orders:
             size *= d
         self.size = size
-        self._npC = None
         self._cache = {}
         if check:
             self._validate()
@@ -57,14 +62,13 @@ class FiniteRing:
         return f"FiniteRing({self.label}, orders={self.orders}, size={self.size})"
 
     @property
-    def npC(self):
-        if self._npC is None:
-            self._npC = np.array(self.table, dtype=np.int64)
-        return self._npC
-
-    @property
-    def np_orders(self):
-        return np.array(self.orders, dtype=np.int64)
+    def table(self):
+        """The structure constants npC as nested tuples of ints."""
+        if self._table is None:
+            self._table = tuple(
+                tuple(tuple(cell) for cell in row) for row in self.npC.tolist()
+            )
+        return self._table
 
     @property
     def char(self):
@@ -77,20 +81,18 @@ class FiniteRing:
         for a, b in zip(self.orders, self.orders[1:]):
             if a % b or b < 2:
                 raise RingConstructionError("orders must be a divisibility chain")
-        # structure constants must respect additive orders
-        for i in range(n):
-            for j in range(n):
-                for k, c in enumerate(self.table[i][j]):
-                    if (self.orders[i] * c) % self.orders[k] or (
-                        self.orders[j] * c
-                    ) % self.orders[k]:
-                        raise RingConstructionError("inconsistent structure constants")
-                if self.table[i][j] != self.table[j][i]:
-                    raise RingConstructionError("multiplication not commutative")
-        for j in range(n):
-            ej = tuple(1 if i == j else 0 for i in range(n))
-            if self._mul(self.one, ej) != ej:
-                raise RingConstructionError("unit fails identity law")
+        C = self.npC
+        D = self.np_orders
+        # d_i * (e_i * e_j) = 0, so every coefficient of e_i * e_j is
+        # killed by d_i and by d_j in its own coordinate
+        if ((D[:, None, None] * C) % D).any() or ((D[None, :, None] * C) % D).any():
+            raise RingConstructionError("inconsistent structure constants")
+        if not np.array_equal(C, C.transpose(1, 0, 2)):
+            raise RingConstructionError("multiplication not commutative")
+        # row j is 1 * e_j
+        unit = np.array(self.one, dtype=np.int64) @ C.reshape(n, n * n)
+        if not np.array_equal(unit.reshape(n, n) % D, np.eye(n, dtype=np.int64)):
+            raise RingConstructionError("unit fails identity law")
         self._check_associativity()
 
     def _check_associativity(self):
@@ -98,18 +100,24 @@ class FiniteRing:
         C = self.npC
         D = self.np_orders
         if n <= FULL_ASSOC_RANK:
-            t1 = np.einsum("abk,kcl->abcl", C, C) % D
-            t2 = np.einsum("bck,akl->abcl", C, C) % D
+            # row (a, b) of U is e_a * e_b: contracted with C[k, c, l] it
+            # gives (e_a e_b) e_c, and row (b, c) contracted with C[a, k, l]
+            # gives e_a (e_b e_c)
+            U = C.reshape(n * n, n)
+            Ct = C.transpose(1, 0, 2).reshape(n, n * n)
+            t1 = (U @ C.reshape(n, n * n)).reshape(n, n, n, n) % D
+            t2 = (U @ Ct).reshape(n, n, n, n).transpose(2, 0, 1, 3) % D
             if not np.array_equal(t1, t2):
                 raise RingConstructionError("multiplication not associative")
         else:
             rng = np.random.default_rng(0)
-            for _ in range(_ASSOC_SAMPLES):
-                a, b, c = rng.integers(0, n, size=3)
-                left = np.einsum("k,kl->l", C[a, b], C[:, c]) % D
-                right = np.einsum("k,kl->l", C[b, c], C[a, :]) % D
-                if not np.array_equal(left, right):
-                    raise RingConstructionError("multiplication not associative")
+            a, b, c = rng.integers(0, n, size=(_ASSOC_SAMPLES, 3)).T
+            # C[a, b] is e_a * e_b and C[a] the matrix of multiplication
+            # by e_a; C[:, c] is that of e_c, with the sample axis first
+            left = (C[a, b][:, None, :] @ C[:, c].transpose(1, 0, 2))[:, 0] % D
+            right = (C[b, c][:, None, :] @ C[a])[:, 0] % D
+            if not np.array_equal(left, right):
+                raise RingConstructionError("multiplication not associative")
 
     # -- raw arithmetic on coefficient tuples --------------------------
 
@@ -155,10 +163,48 @@ class FiniteRing:
             e >>= 1
         return result
 
+    # -- batched arithmetic on integer arrays ----------------------------
+    #
+    # One kernel serves every batched product.  The multiplication matrices
+    # of one factor are formed by one matmul against the structure
+    # constants and reduced mod L, which every order divides, and a second
+    # matmul applies them to the other factor.  Entries of the inputs lie
+    # in [0, L), so no intermediate exceeds rank * L^2.
+
+    def mul_matrices(self, Y):
+        """The matrices of x -> x * y for the rows y of Y, side by side.
+
+        Returns an (n, len(Y) * n) array: block b holds the matrix of
+        multiplication by Y[b], ready for `mul_pairs`.
+        """
+        n = self.rank
+        Y = np.asarray(Y, dtype=np.int64).reshape(-1, n)
+        M = (Y @ self.npC.reshape(n, n * n)) % self.L
+        return M.reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1)
+
+    def mul_pairs(self, X, Y, mats=None):
+        """All products X[a] * Y[b], as an array of shape (len(X), len(Y), n).
+
+        `mats` may pass in `mul_matrices(Y)` when Y is reused.
+        """
+        if mats is None:
+            mats = self.mul_matrices(Y)
+        X = np.asarray(X, dtype=np.int64)
+        n = self.rank
+        out = (X @ mats).reshape(len(X), mats.shape[1] // n, n)
+        return out % self.np_orders
+
+    def mul_rows(self, X, Y):
+        """The row-wise products X[a] * Y[a], as an array."""
+        n = self.rank
+        X = np.asarray(X, dtype=np.int64)
+        Y = np.asarray(Y, dtype=np.int64)
+        M = ((X @ self.npC.reshape(n, n * n)) % self.L).reshape(-1, n, n)
+        return (Y[:, None, :] @ M)[:, 0] % self.np_orders
+
     def mul_many(self, X, b):
         """Products x*b for every row x of the integer array X, as an array."""
-        B = np.asarray(b, dtype=np.int64)
-        return np.einsum("ai,j,ijk->ak", X, B, self.npC) % self.np_orders
+        return self.mul_pairs(X, b)[:, 0]
 
     def is_nilpotent(self, a):
         # nilpotency index is at most the module length, itself at most
@@ -172,10 +218,6 @@ class FiniteRing:
             x = self._mul(x, x)
             e *= 2
         return not any(x)
-
-    def additive_order(self, a):
-        return lcm(*[d // gcd(d, x) if x else 1
-                     for d, x in zip(self.orders, a)] or [1])
 
     def zero_vec(self):
         return tuple([0] * self.rank)
@@ -337,17 +379,6 @@ class RingMorphism:
     def is_isomorphism(self):
         return self.is_injective() and self.is_surjective()
 
-    def compose(self, inner):
-        """self o inner."""
-        rows = [self.apply(r) for r in inner.rows]
-        return RingMorphism(
-            inner.source,
-            self.target,
-            rows,
-            unital=self.unital and inner.unital,
-            check=False,
-        )
-
 
 def build_ring(rel_rows, k, L, P, one_vec, label="R", check=True):
     """Construct a ring from k generators, relations and generator products.
@@ -364,12 +395,12 @@ def build_ring(rel_rows, k, L, P, one_vec, label="R", check=True):
     Vn = np.array(V, dtype=np.int64).reshape(k, m)
     B = np.array(Vinv, dtype=np.int64).reshape(m, k) % L
     Pn = np.asarray(P, dtype=np.int64) % L
-    tmp = np.einsum("bj,ijk->bik", B, Pn) % L
-    prod_old = np.einsum("ai,bik->abk", B, tmp) % L
-    new = prod_old.reshape(m * m, k) @ Vn
-    Dn = np.array(orders, dtype=np.int64)
-    new %= Dn
-    table = new.reshape(m, m, m)
+    # tmp[b, (i, t)] = sum_j B[b, j] P[i, j, t]: g_i times new basis vector b
+    tmp = (B @ Pn.transpose(1, 0, 2).reshape(k, k * k)) % L
+    # prod_old[a, (b, t)] = sum_i B[a, i] tmp[b, i, t], in generator coordinates
+    tmp = tmp.reshape(m, k, k).transpose(1, 0, 2).reshape(k, m * k)
+    prod_old = (B @ tmp) % L
+    table = (prod_old.reshape(m * m, k) @ Vn).reshape(m, m, m)
 
     def to_new(x):
         return tuple(
@@ -377,7 +408,7 @@ def build_ring(rel_rows, k, L, P, one_vec, label="R", check=True):
             for j in range(m)
         )
 
-    ring = FiniteRing(orders, table.tolist(), to_new(one_vec), label=label, check=check)
+    ring = FiniteRing(orders, table, to_new(one_vec), label=label, check=check)
     return ring, to_new, [tuple(r) for r in Vinv]
 
 
@@ -388,23 +419,6 @@ def prime_field(p):
     if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError("p must be prime")
     return FiniteRing((p,), (((1,),),), (1,), label=f"F{p}")
-
-
-def _poly_mul_mod(a, b, f, p):
-    """Product of polynomials a*b mod (f, p); f monic, coefficient lists."""
-    deg = len(f) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    for i in range(len(out) - 1, deg - 1, -1):
-        c = out[i]
-        if c:
-            for j in range(deg + 1):
-                out[i - deg + j] = (out[i - deg + j] - c * f[j]) % p
-        out[i] = 0
-    return out[:deg]
 
 
 def _is_irreducible(coeffs, p):
@@ -514,7 +528,6 @@ def monogenic_quotient(R, m, red, label=None):
         for i in range(n):
             for t in range(m):
                 for j in range(n):
-                    c = R.table[i][j]  # e_i * e_j as a tuple? no: table cell
                     cvec = R.table[i][j]
                     acc = [0] * k
                     for sp in range(m):

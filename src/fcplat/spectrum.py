@@ -284,7 +284,7 @@ def is_unramified(ext):
     if not basis:
         return True
     B = np.array(basis, dtype=np.int64)
-    prods = np.einsum("ai,bj,ijk->abk", B, B, T.npC) % T.np_orders
+    prods = T.mul_pairs(B, B)
     I2 = Submodule.from_generators(
         T, [tuple(int(x) for x in row) for row in prods.reshape(-1, T.rank)]
     )

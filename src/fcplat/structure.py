@@ -14,17 +14,13 @@ from .ring import ring_from_generators, quotient_ring
 from .submodule import Ideal, Submodule, submodule_from_elements
 
 
-def _batch_mul(R, X, Y):
-    return np.einsum("ai,aj,ijk->ak", X, Y, R.npC) % R.np_orders
-
-
 def _nilpotent_mask(R, X):
     """Boolean mask of rows of X that are nilpotent in R."""
     X = np.asarray(X, dtype=np.int64)
     e = 1
     bound = R.size.bit_length()  # nilpotency index <= length <= log2(size)
     while e <= bound:
-        X = _batch_mul(R, X, X)
+        X = R.mul_rows(X, X)
         e *= 2
     return ~X.any(axis=1)
 
@@ -33,7 +29,7 @@ def idempotents(R):
     """All idempotent coefficient tuples, sorted."""
     if "idempotents" not in R._cache:
         arr = R.elements_array()
-        sq = _batch_mul(R, arr, arr)
+        sq = R.mul_rows(arr, arr)
         mask = np.all(sq == arr, axis=1)
         R._cache["idempotents"] = [
             tuple(int(x) for x in row) for row in arr[mask]

@@ -105,3 +105,10 @@ def test_exit_code_input_errors(capsys, tmp_path):
 def test_env_max_nodes(capsys, monkeypatch):
     monkeypatch.setenv("FCPLAT_MAX_NODES", "3")
     assert main(["lattice", B5101]) == 2
+
+
+def test_env_max_nodes_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("FCPLAT_MAX_NODES", "abc")
+    assert main(["lattice", B5101]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "FCPLAT_MAX_NODES" in err

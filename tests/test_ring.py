@@ -1,8 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fcplat.ring import (
+    _ASSOC_SAMPLES,
+    FULL_ASSOC_RANK,
     Element,
     FiniteRing,
     RingConstructionError,
@@ -15,6 +19,8 @@ from fcplat.ring import (
     quotient_ring,
     ring_from_generators,
 )
+from fcplat.spectrum import Extension, tensor_square
+from fcplat.submodule import subring_generated
 
 
 def all_elements(R):
@@ -185,3 +191,195 @@ def test_element_int_coercion():
     a = F5.element((3,))
     assert a + 1 == F5.element((4,))
     assert 2 * a == F5.element((1,))
+
+
+# -- the batched multiplication kernel against the scalar _mul loop ------
+
+
+def _kernel_rings():
+    F2 = prime_field(2)
+    F3 = prime_field(3)
+    Z4 = FiniteRing((4,), (((1,),),), (1,), label="Z4")
+    A, _, _ = monogenic_quotient(Z4, 2, [Z4.zero_vec(), (2,)])
+    D, _, _ = monogenic_quotient(F2, 2, [(0,), (0,)])
+    mixed4, _ = product_ring([A, F2])
+    mixed6, _ = product_ring([F3, D])
+    ts9 = tensor_square(Extension(mixed4, subring_generated(mixed4, []))).ring
+    T, _, _ = monogenic_quotient(F2, 6, [(0,)] * 6)
+    ts36 = tensor_square(Extension(T, subring_generated(T, []))).ring
+    return {
+        "Z4[x]/(x^2-2x) x F2": mixed4,
+        "F3 x F2[t]/(t^2)": mixed6,
+        "tensor square, rank 9": ts9,
+        "tensor square, rank 36": ts36,
+    }
+
+
+KERNEL_RINGS = _kernel_rings()
+
+
+def test_kernel_rings_cover_mixed_orders_and_rank_36():
+    orders = {name: R.orders for name, R in KERNEL_RINGS.items()}
+    assert orders["Z4[x]/(x^2-2x) x F2"] == (4, 4, 2)
+    assert orders["F3 x F2[t]/(t^2)"] == (6, 2)
+    assert len(set(orders["tensor square, rank 9"])) > 1
+    assert KERNEL_RINGS["tensor square, rank 36"].rank == 36
+
+
+def _rows(draw, R, count):
+    return np.array(
+        [[draw(st.integers(0, d - 1)) for d in R.orders] for _ in range(count)],
+        dtype=np.int64,
+    ).reshape(count, R.rank)
+
+
+def _scalar(R, a, b):
+    return R._mul(tuple(int(x) for x in a), tuple(int(x) for x in b))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_mul_rows_matches_scalar_mul(data):
+    name = data.draw(st.sampled_from(sorted(KERNEL_RINGS)))
+    R = KERNEL_RINGS[name]
+    count = data.draw(st.integers(1, 6))
+    X = _rows(data.draw, R, count)
+    Y = _rows(data.draw, R, count)
+    got = R.mul_rows(X, Y)
+    assert got.shape == (count, R.rank)
+    for a in range(count):
+        assert tuple(got[a].tolist()) == _scalar(R, X[a], Y[a])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_mul_pairs_and_mul_many_match_scalar_mul(data):
+    name = data.draw(st.sampled_from(sorted(KERNEL_RINGS)))
+    R = KERNEL_RINGS[name]
+    X = _rows(data.draw, R, data.draw(st.integers(1, 4)))
+    Y = _rows(data.draw, R, data.draw(st.integers(1, 4)))
+    got = R.mul_pairs(X, Y)
+    assert got.shape == (len(X), len(Y), R.rank)
+    assert np.array_equal(R.mul_pairs(X, Y, R.mul_matrices(Y)), got)
+    for a, b in itertools.product(range(len(X)), range(len(Y))):
+        assert tuple(got[a, b].tolist()) == _scalar(R, X[a], Y[b])
+    for b in range(len(Y)):
+        assert np.array_equal(R.mul_many(X, Y[b]), got[:, b])
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_RINGS))
+def test_kernel_on_basis_reproduces_table(name):
+    R = KERNEL_RINGS[name]
+    eye = np.eye(R.rank, dtype=np.int64)
+    assert R.mul_pairs(eye, eye).tolist() == [
+        [list(cell) for cell in row] for row in R.table
+    ]
+
+
+def test_kernel_empty_batches():
+    R = KERNEL_RINGS["F3 x F2[t]/(t^2)"]
+    none = np.zeros((0, R.rank), dtype=np.int64)
+    some = np.eye(R.rank, dtype=np.int64)
+    assert R.mul_pairs(none, some).shape == (0, R.rank, R.rank)
+    assert R.mul_pairs(some, none).shape == (R.rank, 0, R.rank)
+    assert R.mul_rows(none, none).shape == (0, R.rank)
+
+
+def test_table_is_derived_from_npC():
+    R = KERNEL_RINGS["Z4[x]/(x^2-2x) x F2"]
+    assert R.table == tuple(
+        tuple(tuple(int(c) for c in cell) for cell in row) for row in R.npC
+    )
+    assert all(type(c) is int for row in R.table for cell in row for c in cell)
+    assert not R.npC.flags.writeable
+
+
+# -- every rejection path of FiniteRing._validate ------------------------
+
+
+def test_rejects_orders_not_a_divisibility_chain():
+    table = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+    with pytest.raises(RingConstructionError, match="divisibility"):
+        FiniteRing((2, 4), table, (1, 0))
+
+
+def test_rejects_table_of_wrong_shape():
+    with pytest.raises(RingConstructionError, match="rank x rank x rank"):
+        FiniteRing((2, 2), [[[1, 0], [0, 1]]], (1, 0))
+
+
+def test_rejects_inconsistent_structure_constants():
+    # e1 has additive order 2, but e1 * e1 = e0 has order 4
+    table = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+    with pytest.raises(RingConstructionError, match="inconsistent"):
+        FiniteRing((4, 2), table, (1, 0))
+
+
+def test_rejects_non_commutative_table():
+    # e0 * e1 = e1 but e1 * e0 = 0
+    table = [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]
+    with pytest.raises(RingConstructionError, match="not commutative"):
+        FiniteRing((2, 2), table, (1, 0))
+
+
+def test_rejects_wrong_unit():
+    # F2 x F2 with its idempotent (1, 0) offered as the unit
+    table = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+    FiniteRing((2, 2), table, (1, 1))
+    with pytest.raises(RingConstructionError, match="unit"):
+        FiniteRing((2, 2), table, (1, 0))
+
+
+def _unital_table(n, prod):
+    """Unital commutative table over F2: e0 = 1, e_i e_j = e_prod(i, j).
+
+    prod returns None where the product is zero.
+    """
+    table = np.zeros((n, n, n), dtype=np.int64)
+    for i in range(n):
+        table[0, i, i] = table[i, 0, i] = 1
+    for i in range(1, n):
+        for j in range(1, n):
+            k = prod(i, j)
+            if k is not None:
+                table[i, j, k] = 1
+    return table
+
+
+def test_rejects_non_associative_table_full_check():
+    # basis 1, a, b with a*b = a and every other product of a, b zero:
+    # (a b) b = a but a (b b) = 0
+    table = _unital_table(3, lambda i, j: 1 if {i, j} == {1, 2} else None)
+    assert 3 <= FULL_ASSOC_RANK
+    with pytest.raises(RingConstructionError, match="not associative"):
+        FiniteRing((2,) * 3, table, (1, 0, 0))
+
+
+def test_rejects_non_associative_table_sampled_check():
+    # e_i e_j = e_(ij mod m + 1) on the m = n - 1 basis vectors after the
+    # unit: (e_a e_b) e_c and e_a (e_b e_c) differ whenever a != c mod m
+    n = FULL_ASSOC_RANK + 1
+    m = n - 1
+    table = _unital_table(n, lambda i, j: (i * j) % m + 1)
+    one = (1,) + (0,) * m
+    with pytest.raises(RingConstructionError, match="not associative"):
+        FiniteRing((2,) * n, table, one)
+
+
+def test_sampled_check_accepts_an_associative_table():
+    # a rank above the full-check bound, all products of e_1, ..., e_m zero
+    n = FULL_ASSOC_RANK + 1
+    R = FiniteRing((2,) * n, _unital_table(n, lambda i, j: None),
+                   (1,) + (0,) * (n - 1))
+    assert R.size == 2**n
+
+
+def test_sampled_triples_match_one_draw_per_triple():
+    # the sampled check draws all triples at once; they are the triples
+    # that one draw of three indices per sample gives
+    for n in (FULL_ASSOC_RANK + 1, 36, 49, 144):
+        rng = np.random.default_rng(0)
+        one_by_one = [rng.integers(0, n, size=3) for _ in range(_ASSOC_SAMPLES)]
+        rng = np.random.default_rng(0)
+        at_once = rng.integers(0, n, size=(_ASSOC_SAMPLES, 3))
+        assert np.array_equal(np.array(one_by_one), at_once)
