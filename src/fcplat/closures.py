@@ -11,8 +11,8 @@ separate so the two routes can be compared.
 
 import numpy as np
 
-from .spectrum import Extension, is_unramified, tensor_square
-from .structure import _nilpotent_mask, maximal_ideals, residue_field
+from .spectrum import is_unramified, tensor_square
+from .structure import _nilpotent_mask, maximal_ideals
 from .submodule import Subalgebra, subring_generated
 
 X_KINDS = ("s", "u", "t")
@@ -61,12 +61,6 @@ def witnessed_elements(top, B, kind):
     arr = top.elements_array()
     mask = _witness_mask(top, B, kind) & ~B.contains_many(arr)
     return [tuple(int(x) for x in row) for row in arr[mask]]
-
-
-def sorted_elements(top):
-    if "sorted_elements" not in top._cache:
-        top._cache["sorted_elements"] = sorted(top.elements())
-    return top._cache["sorted_elements"]
 
 
 def is_x_closed(ext, kind, bottom=None):
@@ -161,8 +155,7 @@ def radicial_closure(ext):
     arr = top.elements_array()
     imgs = (arr @ delta) % T.np_orders
     mask = _nilpotent_mask(T, imgs)
-    members = [tuple(int(x) for x in row) for row in arr[mask]]
-    sub = Subalgebra.from_generators(top, members)
+    sub = Subalgebra.from_generators(top, arr[mask])
     assert sub.size == int(mask.sum()), "radicial set must be additively closed"
     assert sub.is_subring()
     for b in ext.bottom.basis:
@@ -194,11 +187,9 @@ def is_separable_residual(phi):
     its derivative (always separable for finite fields, but computed).
     """
     k, K = phi.source, phi.target
-    q = k.size
-    img = phi.image_elements()
     # primitive element: any generator of K* works; scan for one
     prim = None
-    for v in sorted(K.elements()):
+    for v in K.elements():
         if subring_generated(K, [v] + [r for r in phi.rows]).size == K.size:
             prim = v
             break

@@ -57,27 +57,6 @@ def qualifying_indices(lattice, kind):
     )
 
 
-def _interval_catenarian(lattice, low):
-    """Do all maximal chains of [low, top] have the same length?"""
-    idxs = set(lattice.interval(low, lattice.top_node))
-    succ = {}
-    for i, j in lattice.hasse_edges():
-        if i in idxs and j in idxs:
-            succ.setdefault(i, []).append(j)
-    start = lattice.index[low.key]
-    goal = lattice.index[lattice.top_node.key]
-    longest = {start: 0}
-    shortest = {start: 0}
-    # node indices are sorted by size, so edges go up in index order
-    for i in sorted(idxs):
-        if i not in longest:
-            continue
-        for j in succ.get(i, []):
-            longest[j] = max(longest.get(j, -1), longest[i] + 1)
-            shortest[j] = min(shortest.get(j, goal + 2), shortest[i] + 1)
-    return longest[goal] == shortest[goal]
-
-
 def co_atom_certificate(lattice, kind):
     """A pair of same-type non-inert co-atoms sharing a crucial ideal.
 
@@ -135,7 +114,8 @@ def co_closure(lattice, kind):
         if all(lattice.nodes[i] <= lattice.nodes[j] for j in qual)
     ]
     exists_least = bool(least)
-    exists_cat = _interval_catenarian(lattice, meet)
+    longest, shortest = lattice.path_lengths(meet)
+    exists_cat = longest == shortest
     assert exists_meet == exists_least == exists_cat, (
         "existence routes disagree: "
         f"meet={exists_meet} least={exists_least} catenarian={exists_cat}"

@@ -10,7 +10,7 @@ seed alone.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lattice import ExtensionLattice, LatticeBudgetExceeded
 from .ring import galois_field, monogenic_quotient, prime_field, product_ring
@@ -60,7 +60,7 @@ def _random_factor(rng, cap):
             red = [K.zero] * deg  # truncated polynomials
             tag = f"F{q}[y]/(y^{deg})"
         else:
-            red = [K.element(rng.choice(sorted(K.elements())))
+            red = [K.element(rng.choice(list(K.elements())))
                    for _ in range(deg)]
             tag = f"F{q}[y]/(y^{deg}-...)"
         ring, _, _ = monogenic_quotient(K, deg, red)
@@ -68,7 +68,7 @@ def _random_factor(rng, cap):
 
 
 def _random_bottom(rng, S, big):
-    elems = sorted(S.elements())
+    elems = list(S.elements())
     mode = rng.choice(("prime", "gen1", "gen1", "gen2")) if not big else (
         rng.choice(("gen1", "gen2", "gen2"))
     )
@@ -84,9 +84,7 @@ def generate_corpus(config=None):
         config = CorpusConfig()
     rng = random.Random(config.seed)
     entries = []
-    attempt = 0
     while len(entries) < config.count:
-        attempt += 1
         # mostly small tops, occasionally up to the hard cap
         cap = config.typical_size if rng.random() < 0.92 else config.max_size
         n_factors = rng.choice((1, 1, 1, 2, 2, 3))

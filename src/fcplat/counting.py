@@ -19,7 +19,7 @@ The sum formula states |[R, S]| is the sum of n[R', S'] over all pairs
 
 import numpy as np
 
-from .closures import _min_poly, sorted_elements, t_closure, x_closure
+from .closures import _min_poly, x_closure
 from .ring import RingMorphism, quotient_ring, ring_from_generators
 from .spectrum import Extension
 from .structure import maximal_ideals, residue_field
@@ -37,8 +37,7 @@ def idealizer(ext, M_sub):
     mask = np.ones(S.size, dtype=bool)
     for m in M_sub.basis:
         mask &= M_sub.contains_many(S.mul_many(arr, m))
-    members = [tuple(int(x) for x in row) for row in arr[mask]]
-    sub = Subalgebra.from_generators(S, members)
+    sub = Subalgebra.from_generators(S, arr[mask])
     assert sub.size == int(mask.sum()), "idealizer must be additively closed"
     assert sub.is_subring()
     assert ext.bottom <= sub
@@ -75,7 +74,6 @@ def _complement_count_local(ext, M):
         # one T/M, so no complement exists (finite fields of equal size
         # over the same subfield are isomorphic over it, so size is enough)
         return 0
-    k_size, F_size = sizes.pop()
 
     # minimal polynomial over R/M of a primitive element of S/N_1
     N1 = tops[0]
@@ -83,7 +81,7 @@ def _complement_count_local(ext, M):
     kR, _, liftsM = residue_field(ext.bottom_ring, M)
     F = phi.target
     prim = None
-    for v in sorted_elements(F):
+    for v in F.elements():
         if subring_generated(F, [v] + list(phi.rows)).size == F.size:
             prim = v
             break

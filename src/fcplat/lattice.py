@@ -43,11 +43,7 @@ def enumerate_interval(ambient, bottom, top=None, max_nodes=None):
     if max_nodes is None:
         max_nodes = _max_nodes_default()
     if top is None:
-        top = Subalgebra.from_generators(
-            ambient,
-            [tuple(1 if i == j else 0 for i in range(ambient.rank))
-             for j in range(ambient.rank)],
-        )
+        top = Subalgebra.whole(ambient)
     top_elems = sorted(top.elements())
     seen = {bottom.key: bottom}
     frontier = [bottom]
@@ -126,52 +122,58 @@ class ExtensionLattice:
             self._cache["edges"] = edges
         return self._cache["edges"]
 
-    def length(self):
-        """Longest chain length from bottom to top."""
-        return self._path_lengths()[0]
-
-    def min_chain_length(self):
-        return self._path_lengths()[1]
-
-    def _path_lengths(self):
-        if "paths" not in self._cache:
-            edges = self.hasse_edges()
-            n = len(self.nodes)
-            longest = [None] * n
-            shortest = [None] * n
-            longest[0] = shortest[0] = 0
-            # nodes are sorted by size, so edges always go up in index order
+    def _successors(self):
+        """Hasse successors: _successors()[i] lists the covers of node i."""
+        if "succ" not in self._cache:
             succ = {}
-            for i, j in edges:
+            for i, j in self.hasse_edges():
                 succ.setdefault(i, []).append(j)
-            for i in range(n):
-                if longest[i] is None:
+            self._cache["succ"] = succ
+        return self._cache["succ"]
+
+    def path_lengths(self, low=None):
+        """(longest, shortest) number of Hasse steps from low to the top.
+
+        `low` defaults to the bottom.  Every upward path from low stays
+        inside [low, top], so the whole Hasse diagram serves every interval.
+        """
+        start = 0 if low is None else self.index[low.key]
+        cache = self._cache.setdefault("paths", {})
+        if start not in cache:
+            succ = self._successors()
+            n = len(self.nodes)
+            longest = {start: 0}
+            shortest = {start: 0}
+            # nodes are sorted by size, so edges always go up in index order
+            for i in range(start, n):
+                if i not in longest:
                     continue
                 for j in succ.get(i, []):
-                    if longest[j] is None or longest[j] < longest[i] + 1:
-                        longest[j] = longest[i] + 1
-                    if shortest[j] is None or shortest[j] > shortest[i] + 1:
-                        shortest[j] = shortest[i] + 1
-            self._cache["paths"] = (longest[n - 1], shortest[n - 1])
-        return self._cache["paths"]
+                    longest[j] = max(longest.get(j, 0), longest[i] + 1)
+                    shortest[j] = min(shortest.get(j, n), shortest[i] + 1)
+            cache[start] = (longest[n - 1], shortest[n - 1])
+        return cache[start]
+
+    def length(self):
+        """Longest chain length from bottom to top."""
+        return self.path_lengths()[0]
+
+    def min_chain_length(self):
+        return self.path_lengths()[1]
 
     def is_chained(self):
         return len(self.nodes) == self.length() + 1
 
     def is_catenarian(self):
         """All maximal chains from bottom to top have the same length."""
-        lo, hi = self.min_chain_length(), self.length()
-        # a maximal chain in the interval runs from bottom to top, so the
-        # lattice is catenarian iff extremal path lengths agree... provided
-        # every node lies on a bottom-to-top path, which holds here since
-        # each node contains the bottom and sits inside the top
-        return lo == hi
+        # every node contains the bottom and sits inside the top, so every
+        # maximal chain is a Hasse path from bottom to top and the lattice
+        # is catenarian iff the extremal path lengths agree
+        longest, shortest = self.path_lengths()
+        return longest == shortest
 
     def maximal_chains(self, limit=None):
-        edges = self.hasse_edges()
-        succ = {}
-        for i, j in edges:
-            succ.setdefault(i, []).append(j)
+        succ = self._successors()
         chains = []
         stack = [[0]]
         goal = len(self.nodes) - 1

@@ -19,7 +19,7 @@ decomposed and ramified shapes the least witness q is recorded.
 from dataclasses import dataclass
 
 from .structure import maximal_ideals
-from .submodule import Submodule, submodule_from_elements
+from .submodule import Submodule
 
 
 @dataclass
@@ -75,7 +75,7 @@ def classify_minimal(ext):
     # both residual maps isomorphisms
     if len(over) == 2:
         N1, N2 = over
-        if N1.intersect(N2) == Submodule(B, C.hrows):
+        if N1.intersect(N2) == C:
             r1 = ext.residual_sizes(N1)
             r2 = ext.residual_sizes(N2)
             if r1[0] == r1[1] and r2[0] == r2[1]:
@@ -89,11 +89,9 @@ def classify_minimal(ext):
     # isomorphic residual field
     if len(over) == 1 and over[0].key != C.key:
         N = over[0]
-        sq = []
-        for a in N.basis:
-            for b in N.basis:
-                sq.append(B._mul(a, b))
-        N2 = submodule_from_elements(B, sq)
+        N2 = Submodule.from_generators(
+            B, [B._mul(a, b) for a in N.basis for b in N.basis]
+        )
         if all(C.contains(v) for v in N2.basis):
             big = B.size // C.size
             rs = ext.residual_sizes(N)
@@ -113,7 +111,7 @@ def _find_witness(ext, C, shifted):
     """Least q in B \\ A with q^2 - q (shifted) or q^2 (not) in the conductor."""
     B = ext.top
     A = ext.bottom
-    for x in sorted(B.elements()):
+    for x in B.elements():
         if A.contains(x):
             continue
         sq = B._mul(x, x)

@@ -222,6 +222,16 @@ class FiniteRing:
     def zero_vec(self):
         return tuple([0] * self.rank)
 
+    @property
+    def basis_vectors(self):
+        """The additive basis e_0, ..., e_{n-1} as coefficient tuples."""
+        if "basis_vectors" not in self._cache:
+            n = self.rank
+            self._cache["basis_vectors"] = tuple(
+                tuple(int(i == j) for i in range(n)) for j in range(n)
+            )
+        return self._cache["basis_vectors"]
+
     def elements(self):
         """All coefficient tuples, in lexicographic order."""
         return itertools.product(*[range(d) for d in self.orders])
@@ -619,10 +629,7 @@ def quotient_ring(R, ideal_rows, label=None):
     ring, to_new, lift = build_ring(
         rels, n, R.L, P, R.one, label=label or f"{R.label}/I"
     )
-    project = RingMorphism(
-        R, ring, [to_new(tuple(1 if i == j else 0 for i in range(n)))
-                  for j in range(n)]
-    )
+    project = RingMorphism(R, ring, [to_new(e) for e in R.basis_vectors])
     lift_rows = [R.reduce(r) for r in lift]
     return ring, project, lift_rows
 

@@ -18,14 +18,7 @@ from .structure import (
     maximal_ideals,
     residue_field,
 )
-from .submodule import (
-    Ideal,
-    Subalgebra,
-    Submodule,
-    conductor,
-    ideal_generated,
-    submodule_from_elements,
-)
+from .submodule import Ideal, Subalgebra, Submodule, conductor, ideal_generated
 
 
 class Extension:
@@ -60,9 +53,9 @@ class Extension:
     def ideal_to_bottom(self, sub):
         """Intersect a subgroup of S with R and view it inside the bottom ring."""
         pres = self.bottom_pres
-        common = sub.elements() & self.bottom.elements()
-        return submodule_from_elements(
-            pres.ring, [pres.from_ambient(v) for v in common], cls=Ideal
+        common = sub.intersect(self.bottom).basis
+        return Ideal.from_generators(
+            pres.ring, [pres.from_ambient(v) for v in common]
         )
 
     # -- lying over ----------------------------------------------------
@@ -91,7 +84,7 @@ class Extension:
         """The induced field extension R/(N cap R) -> S/N as a morphism."""
         P = self.ideal_to_bottom(N)
         Rr = self.bottom_ring
-        kP, projP, liftsP = residue_field(Rr, P)
+        kP, _, liftsP = residue_field(Rr, P)
         kN, projN, _ = residue_field(self.top, N)
         to_amb = self.bottom_pres.to_ambient
         rows = [projN.apply(to_amb.apply(lift)) for lift in liftsP]
@@ -120,22 +113,22 @@ class Extension:
     def msupp_quotient(self, lower, upper):
         """MSupp_R(upper/lower) for subgroups lower <= upper of S."""
         out = []
+        top = self.top
         to_amb = self.bottom_pres.to_ambient
         for e, M in max_ideal_idempotent_pairs(self.bottom_ring):
             e_amb = to_amb.apply(e)
-            lo = {self.top._mul(e_amb, v) for v in lower.elements()}
-            up = {self.top._mul(e_amb, v) for v in upper.elements()}
+            lo = Submodule.from_generators(
+                top, [top._mul(e_amb, v) for v in lower.basis]
+            )
+            up = Submodule.from_generators(
+                top, [top._mul(e_amb, v) for v in upper.basis]
+            )
             if lo != up:
                 out.append(M)
         return out
 
     def msupp(self):
-        top_all = Submodule.from_generators(
-            self.top,
-            [tuple(1 if i == j else 0 for i in range(self.top.rank))
-             for j in range(self.top.rank)],
-        )
-        return self.msupp_quotient(self.bottom, top_all)
+        return self.msupp_quotient(self.bottom, Submodule.whole(self.top))
 
     # -- localization --------------------------------------------------
 
@@ -150,10 +143,7 @@ class Extension:
         e = next(e for e, MM in pairs if MM.key == M.key)
         e_amb = self.bottom_pres.to_ambient.apply(e)
         top = self.top
-        gens = []
-        for j in range(top.rank):
-            ej = tuple(1 if i == j else 0 for i in range(top.rank))
-            gens.append(top._mul(e_amb, ej))
+        gens = [top._mul(e_amb, ej) for ej in top.basis_vectors]
         pres = ring_from_generators(
             top, gens, top.element(e_amb),
             label=f"{top.label}_loc", unital=False,
@@ -216,11 +206,12 @@ def tensor_square(ext):
             row2[gen(i, j)] = S.orders[j]
             rels.append(tuple(row2))
     # bilinearity over R: (r e_i) (x) e_j = e_i (x) (r e_j) for r in a basis of R
+    e_rows = S.basis_vectors
     for r in ext.bottom.basis:
         for i in range(n):
-            ri = S._mul(r, tuple(1 if a == i else 0 for a in range(n)))
+            ri = S._mul(r, e_rows[i])
             for j in range(n):
-                rj = S._mul(r, tuple(1 if a == j else 0 for a in range(n)))
+                rj = S._mul(r, e_rows[j])
                 row = [0] * k
                 for a in range(n):
                     row[gen(a, j)] += ri[a]
@@ -237,7 +228,6 @@ def tensor_square(ext):
         rels, k, L, P, tuple(int(x) for x in one),
         label=f"{S.label}(x){S.label}",
     )
-    e_rows = [tuple(1 if a == i else 0 for a in range(n)) for i in range(n)]
     left_rows = []
     right_rows = []
     for i in range(n):
@@ -284,10 +274,9 @@ def is_unramified(ext):
     if not basis:
         return True
     B = np.array(basis, dtype=np.int64)
-    prods = T.mul_pairs(B, B)
-    I2 = Submodule.from_generators(
-        T, [tuple(int(x) for x in row) for row in prods.reshape(-1, T.rank)]
-    )
+    # commutative, so the products a*b with a before b span I^2
+    i, j = np.triu_indices(len(B))
+    I2 = Submodule.from_generators(T, T.mul_pairs(B, B)[i, j])
     return I2 == I
 
 
@@ -302,9 +291,10 @@ def is_unramified_local(ext):
         pres = prim_to_pres[e]
         Sf = pres.ring
         # image of N cap R in the factor
-        common = N.elements() & ext.bottom.elements()
-        gens = [pres.from_ambient(top._mul(e, v)) for v in common]
-        PSf = ideal_generated(Sf, gens) if gens else Ideal.zero(Sf)
+        common = N.intersect(ext.bottom).basis
+        PSf = ideal_generated(
+            Sf, [pres.from_ambient(top._mul(e, v)) for v in common]
+        )
         (Nf,) = maximal_ideals(Sf)
         if PSf != Nf:
             return False

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .ring import ring_from_generators, quotient_ring
-from .submodule import Ideal, Submodule, submodule_from_elements
+from .submodule import Ideal
 
 
 def _nilpotent_mask(R, X):
@@ -57,9 +57,7 @@ def nilradical(R):
     if "nilradical" not in R._cache:
         arr = R.elements_array()
         mask = _nilpotent_mask(R, arr)
-        R._cache["nilradical"] = submodule_from_elements(
-            R, [tuple(int(x) for x in row) for row in arr[mask]], cls=Ideal
-        )
+        R._cache["nilradical"] = Ideal.from_generators(R, arr[mask])
     return R._cache["nilradical"]
 
 
@@ -72,10 +70,7 @@ def max_ideal_idempotent_pairs(R):
         for e in primitive_idempotents(R):
             prods = R.mul_many(arr, e)
             mask = _nilpotent_mask(R, prods)
-            M = submodule_from_elements(
-                R, [tuple(int(x) for x in row) for row in arr[mask]], cls=Ideal
-            )
-            out.append((e, M))
+            out.append((e, Ideal.from_generators(R, arr[mask])))
         out.sort(key=lambda em: em[1].key)
         assert len(set(m.key for _, m in out)) == len(out)
         R._cache["max_pairs"] = out
@@ -120,10 +115,7 @@ def local_factors(R):
     if "local_factors" not in R._cache:
         out = []
         for e in primitive_idempotents(R):
-            gens = []
-            for j in range(R.rank):
-                ej = tuple(1 if i == j else 0 for i in range(R.rank))
-                gens.append(R._mul(e, ej))
+            gens = [R._mul(e, ej) for ej in R.basis_vectors]
             pres = ring_from_generators(
                 R, gens, R.element(e), label=f"{R.label}@{e}", unital=False
             )

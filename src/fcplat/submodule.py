@@ -2,8 +2,8 @@
 
 A Submodule is canonicalized by the Howell form of its generators inside
 (Z/L)^n after coordinate scaling, so equal subsets always compare equal and
-hash alike.  Element sets are materialized lazily for the operations where
-exhaustive iteration is simplest.
+hash alike.  Sums and intersections are Howell forms too; element sets are
+materialized lazily only where a caller enumerates the members.
 """
 
 import numpy as np
@@ -28,17 +28,26 @@ class Submodule:
 
     @classmethod
     def from_generators(cls, ambient, gens):
+        """The span of `gens`: Elements, coefficient tuples, or an integer
+        array of unscaled rows."""
         L = ambient.L
-        rows = [
-            scale_vector(g.coeffs if isinstance(g, Element) else g,
-                         ambient.orders, L)
-            for g in gens
-        ]
+        if isinstance(gens, np.ndarray):
+            rows = _scale_rows(ambient, gens).tolist()
+        else:
+            rows = [
+                scale_vector(g.coeffs if isinstance(g, Element) else g,
+                             ambient.orders, L)
+                for g in gens
+            ]
         return cls(ambient, howell_form(rows, ambient.rank, L))
 
     @classmethod
     def zero(cls, ambient):
         return cls(ambient, ())
+
+    @classmethod
+    def whole(cls, ambient):
+        return cls.from_generators(ambient, ambient.basis_vectors)
 
     @property
     def key(self):
@@ -72,8 +81,7 @@ class Submodule:
         """Vectorized membership for an integer array of unscaled rows."""
         amb = self.ambient
         L = amb.L
-        factors = np.array([L // d for d in amb.orders], dtype=np.int64)
-        V = (np.asarray(arr, dtype=np.int64) * factors) % L
+        V = _scale_rows(amb, arr)
         n = amb.rank
         for row in self.hrows:
             j = next(k for k in range(n) if row[k])
@@ -132,14 +140,33 @@ class Submodule:
         )
 
     def intersect(self, other):
-        common = self.elements() & other.elements()
-        return type(self).from_generators(self.ambient, sorted(common))
+        """self cap other by the Zassenhaus construction.
+
+        The rows (a, a) for a in self and (b, 0) for b in other span
+        {(a + b, a)} inside (Z/L)^2n; its members with zero first half are
+        exactly (0, c) for c in the intersection.  By the Howell property
+        those are spanned by the Howell rows with zero first half, whose
+        second halves are then the Howell form of the intersection.
+
+        Results are kept per `other`: lying-over and residual-field queries
+        meet the same maximal ideals with the same bottom many times over.
+        """
+        meets = self._cache.setdefault("meets", {})
+        if other.hrows not in meets:
+            amb = self.ambient
+            n = amb.rank
+            zero = (0,) * n
+            rows = [a + a for a in self.hrows] + [b + zero for b in other.hrows]
+            h = howell_form(rows, 2 * n, amb.L)
+            meets[other.hrows] = type(self)(
+                amb, tuple(r[n:] for r in h if not any(r[:n]))
+            )
+        return meets[other.hrows]
 
     def is_ideal(self):
         amb = self.ambient
         for b in self.basis:
-            for j in range(amb.rank):
-                ej = tuple(1 if i == j else 0 for i in range(amb.rank))
+            for ej in amb.basis_vectors:
                 if not self.contains(amb._mul(b, ej)):
                     return False
         return True
@@ -171,11 +198,11 @@ class Subalgebra(Submodule):
         return self._cache["as_ring"]
 
 
-def submodule_from_elements(ambient, elems, cls=Submodule):
-    vecs = sorted(
-        e.coeffs if isinstance(e, Element) else tuple(e) for e in elems
-    )
-    return cls.from_generators(ambient, vecs)
+def _scale_rows(ambient, arr):
+    """Embed an integer array of unscaled rows into (Z/L)^n, as scale_vector."""
+    factors = np.array([ambient.L // d for d in ambient.orders], dtype=np.int64)
+    arr = np.asarray(arr, dtype=np.int64).reshape(-1, ambient.rank)
+    return (arr * factors) % ambient.L
 
 
 def subring_generated(ambient, gens, cls=Subalgebra):
@@ -200,15 +227,11 @@ def ideal_generated(ambient, gens, cls=Ideal):
     """Smallest ideal of the ambient ring containing the given elements."""
     vecs = [g.coeffs if isinstance(g, Element) else tuple(g) for g in gens]
     current = cls.from_generators(ambient, vecs)
-    unit_rows = [
-        tuple(1 if i == j else 0 for i in range(ambient.rank))
-        for j in range(ambient.rank)
-    ]
     while True:
         basis = current.basis
         extra = []
         for b in basis:
-            for ej in unit_rows:
+            for ej in ambient.basis_vectors:
                 p = ambient._mul(b, ej)
                 if not current.contains(p):
                     extra.append(p)
@@ -226,9 +249,6 @@ def conductor(sub, ambient=None):
     S = sub.ambient if ambient is None else ambient
     arr = S.elements_array()
     mask = np.ones(S.size, dtype=bool)
-    for j in range(S.rank):
-        ej = tuple(1 if i == j else 0 for i in range(S.rank))
-        prods = S.mul_many(arr, ej)
-        mask &= sub.contains_many(prods)
-    members = arr[mask]
-    return Ideal.from_generators(S, [tuple(int(x) for x in row) for row in members])
+    for ej in S.basis_vectors:
+        mask &= sub.contains_many(S.mul_many(arr, ej))
+    return Ideal.from_generators(S, arr[mask])

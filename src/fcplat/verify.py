@@ -26,23 +26,16 @@ from .closures import (
     x_closure_via_least_closed,
     x_integral_hull,
 )
-from .coclosures import (
-    co_closure,
-    coclosure_report,
-    node_qualifies,
-    qualifying_indices,
-)
+from .coclosures import co_closure, coclosure_report, node_qualifies
 from .counting import (
     complement_count_formula,
     complement_count_lattice,
-    t_closure_node,
     verify_sum_formula,
 )
 from .lattice import ExtensionLattice, enumerate_interval
 from .minimal import edge_labels
 from .ring import quotient_ring
 from .spectrum import (
-    Extension,
     is_epimorphism,
     is_locally_epimorphism,
     is_unramified,
@@ -180,12 +173,7 @@ class ExtContext:
         if T == self.lat.bottom or T == self.lat.top_node:
             return False
         ext = self.ext
-        top = ext.top
-        top_all = Submodule.from_generators(
-            top,
-            [tuple(1 if i == j else 0 for i in range(top.rank))
-             for j in range(top.rank)],
-        )
+        top_all = Submodule.whole(ext.top)
         upper = {M.key for M in ext.msupp_quotient(T, top_all)}
         lower = {M.key for M in ext.msupp_quotient(ext.bottom, T)}
         return not (upper & lower)
@@ -237,11 +225,10 @@ def check_u_closed_cover_types(ctx):
 def check_seminormal_iff_conductor_semiprime(ctx):
     """Seminormal <=> the conductor is an intersection of maximal ideals
     of the top ring."""
-    S = ctx.ext.top
     over = ctx.conductor_tops
     if over:
         inter = reduce(lambda a, b: a.intersect(b), over)
-        semiprime = inter == Submodule(S, ctx.conductor.hrows)
+        semiprime = inter == ctx.conductor
     else:
         semiprime = False
     return (ctx.plus == ctx.lat.bottom) == semiprime
@@ -263,9 +250,8 @@ def check_seminormal_infra_equivalences(ctx):
         return True
     # the conductor is an irredundant intersection of ell + n maximal
     # ideals of the top
-    S = ctx.ext.top
     over = ctx.conductor_tops
-    C_sub = Submodule(S, ctx.conductor.hrows)
+    C_sub = ctx.conductor
     if reduce(lambda a, b: a.intersect(b), over) != C_sub:
         return False
     for k in range(len(over)):

@@ -110,3 +110,23 @@ def test_complements_in_partition_lattice():
     # the top has exactly one complement (the bottom) and vice versa
     comps = lat.complements(lat.top_node)
     assert comps == [lat.bottom]
+
+
+@pytest.mark.parametrize("make_top", [
+    lambda: galois_field(64),
+    lambda: product_ring([prime_field(2)] * 3)[0],
+    # not catenarian: maximal chains of lengths 2 and 3
+    lambda: monogenic_quotient(
+        galois_field(4), 2, [galois_field(4).zero] * 2
+    )[0],
+], ids=["F64", "F2^3", "F4[y]/(y^2)"])
+def test_path_lengths_match_maximal_chains_of_each_upper_interval(make_top):
+    lat = ExtensionLattice(prime_ext(make_top()))
+    for low in lat.nodes:
+        # brute force: re-enumerate [low, top] and walk all its maximal chains
+        upper = ExtensionLattice(Extension(lat.ambient, low))
+        lengths = {len(chain) - 1 for chain in upper.maximal_chains()}
+        assert lat.path_lengths(low) == (max(lengths), min(lengths))
+    assert lat.path_lengths() == lat.path_lengths(lat.bottom) == (
+        lat.length(), lat.min_chain_length()
+    )
