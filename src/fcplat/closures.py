@@ -12,7 +12,8 @@ separate so the two routes can be compared.
 import numpy as np
 
 from .spectrum import is_unramified, tensor_square
-from .structure import _nilpotent_mask, maximal_ideals
+from .linalg import kernel_mod
+from .structure import _nilpotent_mask
 from .submodule import Subalgebra, subring_generated
 
 X_KINDS = ("s", "u", "t")
@@ -111,11 +112,12 @@ def x_closure_via_least_closed(lattice, kind):
     """Oracle: the least node B with B <= S x-closed."""
     ext = lattice.ext
     closed = [
-        n for n in lattice.nodes if is_x_closed(ext, kind, bottom=n)
+        i for i, n in enumerate(lattice.nodes)
+        if is_x_closed(ext, kind, bottom=n)
     ]
-    least = min(closed, key=lambda n: n.size)
-    assert all(least <= n for n in closed), "closed nodes must have a least"
-    return least
+    least = lattice.least(closed)
+    assert least is not None, "closed nodes must have a least"
+    return lattice.nodes[least]
 
 
 def x_integral_hull(lattice, kind):
@@ -165,19 +167,18 @@ def radicial_closure(ext):
 
 def omega_closure(lattice):
     """Greatest node T with R <= T unramified."""
-    good = []
-    for n in lattice.nodes:
-        ext_n, _ = lattice.sub_extension(lattice.bottom, n)
-        if is_unramified(ext_n):
-            good.append(n)
-    best = max(good, key=lambda n: n.size)
-    assert all(n <= best for n in good), "unramified nodes must have a top"
-    return best
+    return lattice.greatest(is_unramified)
 
 
-def _residual_morphisms(lattice, node):
-    ext_n, _ = lattice.sub_extension(lattice.bottom, node)
-    return [ext_n.residual_extension(N) for N in maximal_ideals(ext_n.top)]
+def primitive_min_poly(phi):
+    """Minimal polynomial over the source of phi of the first element that
+    generates the target field over the image of phi."""
+    K = phi.target
+    prim = next(
+        v for v in K.elements()
+        if subring_generated(K, [v, *phi.rows]).size == K.size
+    )
+    return _min_poly(phi, prim)
 
 
 def is_separable_residual(phi):
@@ -186,18 +187,9 @@ def is_separable_residual(phi):
     Checked honestly via the minimal polynomial of a primitive element and
     its derivative (always separable for finite fields, but computed).
     """
-    k, K = phi.source, phi.target
-    # primitive element: any generator of K* works; scan for one
-    prim = None
-    for v in K.elements():
-        if subring_generated(K, [v] + [r for r in phi.rows]).size == K.size:
-            prim = v
-            break
-    if prim is None:
-        prim = K.one
-    f = _min_poly(phi, prim)
-    fp = _derivative(f, k)
-    return _poly_gcd_is_one(f, fp, k)
+    f = primitive_min_poly(phi)
+    fp = _derivative(f, phi.source)
+    return _poly_gcd_is_one(f, fp, phi.source)
 
 
 def _min_poly(phi, v):
@@ -214,16 +206,21 @@ def _min_poly(phi, v):
 
 
 def _solve_lin_comb(phi, basis_powers, target):
-    """Coefficients c_i in the source field with sum phi(c_i)*b_i = target."""
-    k, K = phi.source, phi.target
-    import itertools
+    """Coefficients c_i in the source field with sum phi(c_i)*b_i = target.
 
-    for combo in itertools.product(k.elements(), repeat=len(basis_powers)):
-        acc = K.zero_vec()
-        for c, b in zip(combo, basis_powers):
-            acc = K._add(acc, K._mul(phi.apply(c), b))
-        if acc == target:
-            return list(combo)
+    One kernel over F_p of the products phi(e_s)*b_i, e_s the source basis,
+    stacked on the target: a kernel vector with last entry -1 holds the
+    coordinates of the c_i.  `_min_poly` solves only over powers that are
+    independent over the source, where a solution is unique.
+    """
+    k, K = phi.source, phi.target
+    p = K.L
+    rows = [K._mul(r, b) for b in basis_powers for r in phi.rows]
+    for a in kernel_mod(rows + [target], K.rank, p):
+        if a[-1]:
+            scale = (-pow(a[-1], -1, p)) % p
+            x = [(scale * c) % p for c in a[:-1]]
+            return [tuple(x[i:i + k.rank]) for i in range(0, len(x), k.rank)]
     return None
 
 
@@ -285,24 +282,16 @@ def is_radicial_residual(phi):
 
 def kappa_separable_closure(lattice):
     """Greatest node T with all residual extensions of R <= T separable."""
-    good = []
-    for n in lattice.nodes:
-        if all(is_separable_residual(phi) for phi in _residual_morphisms(lattice, n)):
-            good.append(n)
-    best = max(good, key=lambda n: n.size)
-    assert all(n <= best for n in good)
-    return best
+    return lattice.greatest(
+        lambda e: all(map(is_separable_residual, e.residual_extensions()))
+    )
 
 
 def kappa_radicial_closure(lattice):
     """Greatest node T with all residual extensions of R <= T radicial."""
-    good = []
-    for n in lattice.nodes:
-        if all(is_radicial_residual(phi) for phi in _residual_morphisms(lattice, n)):
-            good.append(n)
-    best = max(good, key=lambda n: n.size)
-    assert all(n <= best for n in good)
-    return best
+    return lattice.greatest(
+        lambda e: all(map(is_radicial_residual, e.residual_extensions()))
+    )
 
 
 def closure_report(lattice):

@@ -23,8 +23,7 @@ fails to qualify.
 from dataclasses import dataclass
 from functools import reduce
 
-from .minimal import classify_cover
-from .spectrum import Extension
+from .minimal import edge_labels
 from .structure import is_field
 
 CO_KINDS = ("subintegral", "infra_integral")
@@ -42,7 +41,7 @@ class CoClosure:
 
 def node_qualifies(lattice, node, kind):
     """Does node <= S have the defining property for the given co-closure?"""
-    ext = Extension(lattice.ambient, node)
+    ext = lattice.upper(node)
     if kind == "subintegral":
         return ext.is_subintegral()
     if kind == "infra_integral":
@@ -50,25 +49,23 @@ def node_qualifies(lattice, node, kind):
     raise ValueError(f"unknown co-closure kind {kind!r}")
 
 
-def qualifying_indices(lattice, kind):
-    return tuple(
-        i for i, n in enumerate(lattice.nodes)
-        if node_qualifies(lattice, n, kind)
-    )
-
-
-def co_atom_certificate(lattice, kind):
-    """A pair of same-type non-inert co-atoms sharing a crucial ideal.
+def co_atom_certificate(lattice, kind, qualifying):
+    """A pair of same-type non-inert qualifying co-atoms sharing a crucial
+    ideal.
 
     Two distinct co-atoms T, U with T < S and U < S minimal ramified rule
     out both co-closures when they share their crucial ideal; a decomposed
     pair of distinct co-atoms that are fields sharing the crucial ideal
-    rules out the co-infra-integral closure.  Returns
-    (shape, i, j) or None.
+    rules out the co-infra-integral closure.  Ramified co-atoms qualify for
+    both kinds and decomposed ones for the infra-integral kind, so keeping
+    to the qualifying nodes of an interval [U, S] loses no such pair in it.
+    Returns (shape, i, j) or None.
     """
-    top_i = lattice.index[lattice.top_node.key]
-    co_atoms = [i for i, j in lattice.hasse_edges() if j == top_i]
-    classified = [(i, classify_cover(lattice, i, top_i)) for i in co_atoms]
+    top_i = len(lattice.nodes) - 1
+    classified = [
+        (i, c) for (i, j), c in edge_labels(lattice).items()
+        if j == top_i and i in qualifying
+    ]
     for a in range(len(classified)):
         for b in range(a + 1, len(classified)):
             i, ci = classified[a]
@@ -95,12 +92,17 @@ def _failing_pair(lattice, kind, qualifying):
     return None
 
 
-def co_closure(lattice, kind):
-    """Compute the co-closure of the given kind, with existence decided by
-    three independent routes that must agree."""
+def co_closure(lattice, kind, low=None):
+    """The co-closure of the given kind of [low, S], low defaulting to the
+    bottom, with existence decided by three independent routes that must
+    agree."""
     if kind not in CO_KINDS:
         raise ValueError(f"unknown co-closure kind {kind!r}")
-    qual = qualifying_indices(lattice, kind)
+    low = lattice.bottom if low is None else low
+    qual = tuple(
+        i for i in lattice.interval(low, lattice.top_node)
+        if node_qualifies(lattice, lattice.nodes[i], kind)
+    )
     assert qual, "the top node always qualifies"
     meet = reduce(
         lambda a, b: a.intersect(b), (lattice.nodes[i] for i in qual)
@@ -109,11 +111,8 @@ def co_closure(lattice, kind):
     meet = lattice.nodes[lattice.index[meet.key]]
 
     exists_meet = node_qualifies(lattice, meet, kind)
-    least = [
-        i for i in qual
-        if all(lattice.nodes[i] <= lattice.nodes[j] for j in qual)
-    ]
-    exists_least = bool(least)
+    least = lattice.least(qual)
+    exists_least = least is not None
     longest, shortest = lattice.path_lengths(meet)
     exists_cat = longest == shortest
     assert exists_meet == exists_least == exists_cat, (
@@ -121,9 +120,9 @@ def co_closure(lattice, kind):
         f"meet={exists_meet} least={exists_least} catenarian={exists_cat}"
     )
     if exists_meet:
-        assert lattice.index[meet.key] == least[0]
+        assert lattice.index[meet.key] == least
         return CoClosure(kind, True, meet, meet, qual, None)
-    cert = co_atom_certificate(lattice, kind)
+    cert = co_atom_certificate(lattice, kind, qual)
     if cert is None:
         cert = _failing_pair(lattice, kind, qual)
     if cert is None:

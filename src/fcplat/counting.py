@@ -19,9 +19,8 @@ The sum formula states |[R, S]| is the sum of n[R', S'] over all pairs
 
 import numpy as np
 
-from .closures import _min_poly, x_closure
+from .closures import primitive_min_poly, x_closure
 from .ring import RingMorphism, quotient_ring, ring_from_generators
-from .spectrum import Extension
 from .structure import maximal_ideals, residue_field
 from .submodule import Subalgebra, Submodule, subring_generated
 
@@ -76,16 +75,8 @@ def _complement_count_local(ext, M):
         return 0
 
     # minimal polynomial over R/M of a primitive element of S/N_1
-    N1 = tops[0]
-    phi = ext.residual_extension(N1)
+    P = primitive_min_poly(ext.residual_extension(tops[0]))
     kR, _, liftsM = residue_field(ext.bottom_ring, M)
-    F = phi.target
-    prim = None
-    for v in F.elements():
-        if subring_generated(F, [v] + list(phi.rows)).size == F.size:
-            prim = v
-            break
-    P = _min_poly(phi, prim)
 
     # A := R'/M for R' the idealizer of M in S
     M_S = _bottom_max_ideal_in_top(ext, M)
@@ -126,7 +117,7 @@ def t_closure_node(lattice, low=None, high=None):
         lattice._cache["t_of"] = {}
     t_of = lattice._cache["t_of"]
     if low.key not in t_of:
-        t_of[low.key] = x_closure(Extension(lattice.ambient, low), "t")
+        t_of[low.key] = x_closure(lattice.upper(low), "t")
     t_full = t_of[low.key]
     node = t_full if high == lattice.top_node else t_full.intersect(high)
     assert node.key in lattice.index

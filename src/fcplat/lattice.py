@@ -34,16 +34,14 @@ def _max_nodes_default():
     return DEFAULT_MAX_NODES
 
 
-def enumerate_interval(ambient, bottom, top=None, max_nodes=None):
-    """All subalgebras T of the ambient ring with bottom <= T <= top.
+def enumerate_interval(ambient, bottom, max_nodes=None):
+    """All subalgebras T of the ambient ring containing bottom.
 
-    `top` defaults to the whole ambient ring.  Returns them sorted by
-    (size, canonical key).
+    Returns them sorted by (size, canonical key).
     """
     if max_nodes is None:
         max_nodes = _max_nodes_default()
-    if top is None:
-        top = Subalgebra.whole(ambient)
+    top = Subalgebra.whole(ambient)
     top_elems = sorted(top.elements())
     seen = {bottom.key: bottom}
     frontier = [bottom]
@@ -196,6 +194,24 @@ class ExtensionLattice:
         j = self.index[high.key]
         return [k for k in range(len(self.nodes)) if j in leq[k] and k in leq[i]]
 
+    def least(self, idxs):
+        """The index in idxs of the node inside every node of idxs, or None."""
+        leq = self.leq()
+        return next((i for i in idxs if leq[i].issuperset(idxs)), None)
+
+    def greatest(self, pred):
+        """The greatest node T with pred(R <= T), which must contain every
+        such node; nodes are sorted by size, so it is the last of them."""
+        good = [
+            i for i, n in enumerate(self.nodes)
+            if pred(self.sub_extension(self.bottom, n)[0])
+        ]
+        leq = self.leq()
+        assert all(good[-1] in leq[i] for i in good), (
+            "qualifying nodes must have a greatest"
+        )
+        return self.nodes[good[-1]]
+
     def join(self, a, b):
         return subring_generated(self.ambient, list(a.basis) + list(b.basis))
 
@@ -222,3 +238,10 @@ class ExtensionLattice:
             )
             cache[ck] = (Extension(pres.ring, bot), pres)
         return cache[ck]
+
+    def upper(self, node):
+        """The extension node <= S inside the ambient ring, built once."""
+        cache = self._cache.setdefault("upper", {})
+        if node.key not in cache:
+            cache[node.key] = Extension(self.ambient, node)
+        return cache[node.key]

@@ -143,14 +143,15 @@ def kernel_mod(rows, n, L):
 
     Returns Howell-form generators of the kernel as a subgroup of (Z/L)^k;
     together with L*Z^k they generate the full integer kernel lattice.
+    By the Howell property, the Howell rows of (r_g, e_g) with zero first
+    part already are (0, the Howell form of the kernel).
     """
     k = len(rows)
     aug = []
     for g, r in enumerate(rows):
         aug.append(tuple(x % L for x in r) + tuple(1 if i == g else 0 for i in range(k)))
     h = howell_form(aug, n + k, L)
-    ker = [row[n:] for row in h if not any(row[:n])]
-    return howell_form(ker, k, L)
+    return tuple(row[n:] for row in h if not any(row[:n]))
 
 
 

@@ -637,11 +637,10 @@ def quotient_ring(R, ideal_rows, label=None):
 class SubringPresentation:
     """A subset of an ambient ring re-presented as a ring of its own."""
 
-    def __init__(self, ring, to_ambient, coords_of, gens):
+    def __init__(self, ring, to_ambient, coords_of):
         self.ring = ring
         self.to_ambient = to_ambient
         self._coords_of = coords_of
-        self.gens = gens
 
     def from_ambient(self, elem):
         vec = elem.coeffs if isinstance(elem, Element) else tuple(elem)
@@ -703,4 +702,4 @@ def ring_from_generators(ambient, gen_elems, one_elem, label=None, unital=None):
         unital = one_vec == ambient.one
     to_ambient = RingMorphism(ring, ambient, amb_rows, unital=unital)
     coords_of = {e: to_new(c) for e, c in coords.items()}
-    return SubringPresentation(ring, to_ambient, coords_of, gens)
+    return SubringPresentation(ring, to_ambient, coords_of)

@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass
 
 from .ring import (
+    RingConstructionError,
     galois_field,
     monogenic_quotient,
     prime_field,
@@ -113,7 +114,10 @@ def parse_spec(text, max_size=None):
             raise SpecError(f"unknown op {op!r}")
         if not isinstance(args, dict):
             raise SpecError(f"{name}: args must be an object")
-        rings[name] = _build(op, args, rings, subring_gens, name)
+        try:
+            rings[name] = _build(op, args, rings, subring_gens, name)
+        except RingConstructionError as exc:
+            raise SpecError(f"{name}: {exc}") from exc
         if max_size is not None and rings[name].size > max_size:
             raise SpecError(
                 f"{name}: size {rings[name].size} exceeds cap {max_size}"

@@ -90,6 +90,14 @@ class Extension:
         rows = [projN.apply(to_amb.apply(lift)) for lift in liftsP]
         return RingMorphism(kP, kN, rows)
 
+    def residual_extensions(self):
+        """The residual extensions at every maximal ideal of the top."""
+        if "residual_extensions" not in self._cache:
+            self._cache["residual_extensions"] = [
+                self.residual_extension(N) for N in maximal_ideals(self.top)
+            ]
+        return self._cache["residual_extensions"]
+
     def residual_sizes(self, N):
         """(|R/(N cap R)|, |S/N|) without building the quotients."""
         P = self.ideal_to_bottom(N)
@@ -267,17 +275,17 @@ def is_epimorphism(ext):
 
 def is_unramified(ext):
     """Primary criterion: I = I^2 for I the kernel of the codiagonal."""
-    ts = tensor_square(ext)
-    I = ts.diagonal_kernel()
-    T = ts.ring
-    basis = I.basis
-    if not basis:
-        return True
-    B = np.array(basis, dtype=np.int64)
-    # commutative, so the products a*b with a before b span I^2
-    i, j = np.triu_indices(len(B))
-    I2 = Submodule.from_generators(T, T.mul_pairs(B, B)[i, j])
-    return I2 == I
+    if "unramified" not in ext._cache:
+        ts = tensor_square(ext)
+        I = ts.diagonal_kernel()
+        T = ts.ring
+        B = np.array(I.basis, dtype=np.int64)
+        # commutative, so the products a*b with a before b span I^2
+        i, j = np.triu_indices(len(B))
+        ext._cache["unramified"] = not I.basis or I == (
+            Submodule.from_generators(T, T.mul_pairs(B, B)[i, j])
+        )
+    return ext._cache["unramified"]
 
 
 def is_unramified_local(ext):

@@ -134,11 +134,6 @@ class Submodule:
     def __repr__(self):
         return f"{type(self).__name__}(size={self.size})"
 
-    def add(self, other):
-        return type(self).from_generators(
-            self.ambient, self.basis + other.basis
-        )
-
     def intersect(self, other):
         """self cap other by the Zassenhaus construction.
 
@@ -205,11 +200,11 @@ def _scale_rows(ambient, arr):
     return (arr * factors) % ambient.L
 
 
-def subring_generated(ambient, gens, cls=Subalgebra):
+def subring_generated(ambient, gens):
     """Smallest unital subring containing the given elements."""
     vecs = [g.coeffs if isinstance(g, Element) else tuple(g) for g in gens]
     vecs.append(ambient.one)
-    current = cls.from_generators(ambient, vecs)
+    current = Subalgebra.from_generators(ambient, vecs)
     while True:
         basis = current.basis
         extra = []
@@ -220,13 +215,13 @@ def subring_generated(ambient, gens, cls=Subalgebra):
                     extra.append(p)
         if not extra:
             return current
-        current = cls.from_generators(ambient, list(basis) + extra)
+        current = Subalgebra.from_generators(ambient, list(basis) + extra)
 
 
-def ideal_generated(ambient, gens, cls=Ideal):
+def ideal_generated(ambient, gens):
     """Smallest ideal of the ambient ring containing the given elements."""
     vecs = [g.coeffs if isinstance(g, Element) else tuple(g) for g in gens]
-    current = cls.from_generators(ambient, vecs)
+    current = Ideal.from_generators(ambient, vecs)
     while True:
         basis = current.basis
         extra = []
@@ -237,16 +232,16 @@ def ideal_generated(ambient, gens, cls=Ideal):
                     extra.append(p)
         if not extra:
             return current
-        current = cls.from_generators(ambient, list(basis) + extra)
+        current = Ideal.from_generators(ambient, list(basis) + extra)
 
 
-def conductor(sub, ambient=None):
+def conductor(sub):
     """(sub : S) = {x in S : x*S is contained in sub}, as an ideal of S.
 
     `sub` is an additive subgroup of S containing 1's multiples; the result
     is simultaneously an ideal of S and of every subring containing it.
     """
-    S = sub.ambient if ambient is None else ambient
+    S = sub.ambient
     arr = S.elements_array()
     mask = np.ones(S.size, dtype=bool)
     for ej in S.basis_vectors:

@@ -150,24 +150,6 @@ class ExtContext:
             for U in self.lat.nodes
         ]
 
-    def co_closure_above(self, low, kind):
-        """Co-closure of [low, top]: (exists, node-or-None).
-
-        Same ambient top, so qualifying is decided with the global lattice.
-        """
-        idxs = self.lat.interval(low, self.lat.top_node)
-        qual = [
-            i for i in idxs
-            if node_qualifies(self.lat, self.lat.nodes[i], kind)
-        ]
-        meet = reduce(
-            lambda a, b: a.intersect(b), (self.lat.nodes[i] for i in qual)
-        )
-        meet = self.node(meet)
-        if node_qualifies(self.lat, meet, kind):
-            return True, meet
-        return False, None
-
     def splits_at(self, T):
         """MSupp(S/T) and MSupp(T/R) are disjoint, T strictly inside."""
         if T == self.lat.bottom or T == self.lat.top_node:
@@ -261,22 +243,13 @@ def check_seminormal_infra_equivalences(ctx):
     return True
 
 
-def _ramified_cover_of_u_below_omega(ctx):
-    """Is some cover of the u-closure inside [u, omega] ramified?
-
-    This is the configuration where a minimal subextension of the
-    unramified extension u <= omega fails to be unramified (etale base
-    changes of local rings realize it), and where the equalities
-    u = omega meet t and radicial meet omega = bottom can fail.
-    """
-    labels = edge_labels(ctx.lat)
-    u_i = ctx.lat.index[ctx.u.key]
-    idxs = set(ctx.lat.interval(ctx.u, ctx.omega))
-    return any(
-        labels[(i, j)].kind == "ramified"
-        for i, j in ctx.lat.hasse_edges()
-        if i == u_i and j in idxs
-    )
+def _ramified_edges_within(ctx, low, high):
+    """The ramified Hasse edges with both ends in [low, high]."""
+    inside = set(ctx.lat.interval(low, high))
+    return [
+        (i, j) for (i, j), c in edge_labels(ctx.lat).items()
+        if c.kind == "ramified" and i in inside and j in inside
+    ]
 
 
 def check_u_from_omega_and_t(ctx):
@@ -289,7 +262,8 @@ def check_u_from_omega_and_t(ctx):
     wc = ctx.meet_node(ctx.omega, ctx.krad)
     if wt != wc or not ctx.u <= wt:
         return False
-    if _ramified_cover_of_u_below_omega(ctx):
+    u_i = ctx.lat.index[ctx.u.key]
+    if any(i == u_i for i, _ in _ramified_edges_within(ctx, ctx.u, ctx.omega)):
         return None
     return wt == ctx.u
 
@@ -303,13 +277,17 @@ def check_radicial_meet_omega_trivial(ctx):
 
     radicial meet omega = plus meet omega holds unconditionally (the
     radicial closure meets the kappa-separable closure in plus, and omega
-    sits below the kappa-separable closure); the collapse to the bottom
-    has the same non-ramified-cover hypothesis as the u-closure meet
-    identity."""
+    sits below the kappa-separable closure).  The collapse holds when no
+    Hasse edge inside [R, omega] is ramified: then [R, plus meet omega], an
+    interval inside it, has no ramified edge either, while R <= plus meet
+    omega is subintegral, so each of its minimal steps would be ramified;
+    it has none, and plus meet omega = R.  Unramified extensions with a
+    ramified step, such as F3[y]/(y^2) x F3[y]/(y^2) over its diagonal, do
+    not meet that hypothesis and are not-applicable."""
     m = ctx.meet_node(ctx.radicial, ctx.omega)
     if m != ctx.meet_node(ctx.plus, ctx.omega):
         return False
-    if _ramified_cover_of_u_below_omega(ctx):
+    if _ramified_edges_within(ctx, ctx.lat.bottom, ctx.omega):
         return None
     return m == ctx.lat.bottom
 
@@ -603,8 +581,8 @@ def check_coinf_gives_cosub(ctx):
     cs = ctx.co["co_subintegral"]
     if not cs.exists:
         return False
-    ok, node = ctx.co_closure_above(ci.node, "subintegral")
-    return ok and node == cs.node
+    above = co_closure(ctx.lat, "subintegral", low=ci.node)
+    return above.exists and above.node == cs.node
 
 
 def check_unbranched_coclosures_equal(ctx):
@@ -659,8 +637,8 @@ def check_coclosure_localizes_up(ctx):
             continue
         out = True
         for U in _sample_nodes(ctx.lat):
-            ok, node = ctx.co_closure_above(U, kind)
-            if not ok or node != ctx.join_node(cc.node, U):
+            above = co_closure(ctx.lat, kind, low=U)
+            if not above.exists or above.node != ctx.join_node(cc.node, U):
                 return False
     return out
 

@@ -112,3 +112,26 @@ def test_env_max_nodes_not_an_integer(capsys, monkeypatch):
     assert main(["lattice", B5101]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "FCPLAT_MAX_NODES" in err
+
+
+@pytest.mark.parametrize("constructions", [
+    # {1, x} spans no subring of F8
+    [{"name": "F", "op": "galois_field", "args": {"q": 8}},
+     {"name": "B", "op": "subring",
+      "args": {"base": "F", "generators": [[0, 1, 0]]}}],
+    # the ideal of both basis vectors of F2[y]/(y^2) is the whole ring
+    [{"name": "K", "op": "prime_field", "args": {"p": 2}},
+     {"name": "D", "op": "monogenic",
+      "args": {"base": "K", "degree": 2, "reduction": [0, 0]}},
+     {"name": "Q", "op": "quotient_ideal",
+      "args": {"base": "D", "generators": [[1, 0], [0, 1]]}}],
+])
+def test_exit_code_unbuildable_construction(capsys, tmp_path, constructions):
+    spec = tmp_path / "spec.json"
+    top = constructions[0]["name"]
+    spec.write_text(json.dumps({
+        "constructions": constructions,
+        "extension": {"top": top, "bottom": {"generated_by": []}},
+    }))
+    assert main(["lattice", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

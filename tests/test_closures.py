@@ -1,4 +1,9 @@
+import itertools
+
+import pytest
+
 from fcplat.closures import (
+    _solve_lin_comb,
     is_seminormal,
     is_t_closed,
     is_u_closed,
@@ -122,3 +127,44 @@ def test_radicial_closure_equals_seminormalization():
     ]
     for ext in exts:
         assert radicial_closure(ext) == seminormalization(ext)
+
+
+def brute_lin_comb(phi, basis_powers, target):
+    """Reference: the first coefficient tuple over the source field, in
+    enumeration order, with sum phi(c_i) * b_i = target."""
+    k, K = phi.source, phi.target
+    for combo in itertools.product(k.elements(), repeat=len(basis_powers)):
+        acc = K.zero_vec()
+        for c, b in zip(combo, basis_powers):
+            acc = K._add(acc, K._mul(phi.apply(c), b))
+        if acc == target:
+            return list(combo)
+    return None
+
+
+def field_inclusion(q, sub_q):
+    """F_sub_q <= F_q as a residual extension."""
+    K = galois_field(q)
+    sub = subring_generated(
+        K, [v for v in K.elements() if K._pow(v, sub_q) == v]
+    )
+    assert sub.size == sub_q
+    (phi,) = Extension(K, sub).residual_extensions()
+    return phi
+
+
+@pytest.mark.parametrize("q, sub_q", [(8, 2), (16, 2), (16, 4), (9, 3)])
+def test_lin_comb_solve_matches_brute_force(q, sub_q):
+    # up to the degree of each minimal polynomial, where the powers below
+    # the target are independent and a solution, once there, is unique
+    phi = field_inclusion(q, sub_q)
+    K = phi.target
+    for v in K.elements():
+        powers = [K.one, v]
+        while True:
+            args = (phi, powers[:-1], powers[-1])
+            sol = _solve_lin_comb(*args)
+            assert sol == brute_lin_comb(*args)
+            if sol is not None:
+                break
+            powers.append(K._mul(powers[-1], v))

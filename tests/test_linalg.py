@@ -109,6 +109,23 @@ def test_kernel_matches_brute_force():
             assert howell_contains(a, ker, k, L)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kernel_rows_are_already_a_howell_form(data):
+    # kernel_mod keeps the zero-first-part rows of one augmented Howell
+    # form and reduces them no further: they must be the kernel's own
+    # Howell form
+    L = data.draw(st.sampled_from([2, 3, 4, 6, 8, 9, 12, 16, 27]))
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, 5))
+    rows = [
+        tuple(data.draw(st.integers(0, L - 1)) for _ in range(n))
+        for _ in range(k)
+    ]
+    ker = kernel_mod(rows, n, L)
+    assert ker == howell_form(ker, k, L)
+
+
 def check_presentation(rel_rows, k, L):
     orders, V, Vinv = smith_presentation(rel_rows, k, L)
     # orders form a decreasing divisibility chain

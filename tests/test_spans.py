@@ -1,0 +1,53 @@
+"""The benchmark's spans (perfbench/spans.py) against the current package.
+
+The tracer wraps fcplat functions by name; a renamed or removed function
+makes `Tracer.install` raise.  This test installs it, runs one command
+through the spans, and checks that `uninstall` restores every original.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from fcplat.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+B5101 = str(ROOT / "fixtures" / "b5101_q2.json")
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def bindings(spans):
+    """Every traced name as the object its owner holds, plus the suites."""
+    out = {}
+    for name in spans.LAYERS:
+        mod_name, *path = name.split(".")
+        owner = importlib.import_module(f"fcplat.{mod_name}")
+        for attr in path[:-1]:
+            owner = getattr(owner, attr)
+        out[name] = owner.__dict__[path[-1]]
+    verify = importlib.import_module("fcplat.verify")
+    out["suites"] = {k: list(v) for k, v in verify.SUITES.items()}
+    return out
+
+
+def test_tracer_installs_and_uninstalls(capsys):
+    spans = load_spans()
+    before = bindings(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["coclosures", B5101]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.calls["coclosures.co_closure"] == 2
+    assert tracer.calls["lattice.ExtensionLattice.sub_extension"] > 0
+    assert bindings(spans) == before

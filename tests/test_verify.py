@@ -9,6 +9,7 @@ from fcplat.verify import (
     ExtContext,
     SUITES,
     check_multi_complement_blocks_cosub,
+    check_radicial_meet_omega_trivial,
     run_suite,
     suite_checks,
 )
@@ -50,3 +51,18 @@ def test_multi_complement_guard_on_twisted_diagonals():
     assert len(ctx.lat.complements(ctx.t)) == 3
     assert ctx.co["co_subintegral"].exists
     assert check_multi_complement_blocks_cosub(ctx) is None
+
+
+@pytest.mark.parametrize("seed, count", [(15, 37), (29, 7)])
+def test_radicial_meet_omega_not_applicable_over_ramified_step(seed, count):
+    # unramified extensions whose 3-node chain is ramified then decomposed
+    # (F3[y]/(y^2) x F3[y]/(y^2) over its diagonal; F2[y]/(y^2) x
+    # F2[y]/(y^3) over a copy of F2[y]/(y^3)): omega is the top and
+    # plus meet omega is the middle node, so the collapse to the bottom
+    # lacks its hypothesis and must be not-applicable, not a violation
+    entry = generate_corpus(
+        CorpusConfig(seed=seed, count=count, max_size=128)
+    )[-1]
+    ctx = ExtContext(entry.name, entry.ext, entry.lattice)
+    assert ctx.lat.node_count() == 3 and ctx.omega == ctx.lat.top_node
+    assert check_radicial_meet_omega_trivial(ctx) is None
