@@ -13,7 +13,10 @@ Commands::
 
 Every command prints one canonical JSON document to stdout; --json writes
 the same bytes to a file, --dot writes the Hasse diagram in DOT format.
-The node budget for lattice enumeration honours FCPLAT_MAX_NODES.
+--max-size caps the size of every ring built (default 4096); it must be at
+least 2 for the spec commands and at least 4, the smallest top of a proper
+extension, for verify and corpus.  The node budget for lattice enumeration
+honours FCPLAT_MAX_NODES.
 
 Exit codes: 0 success, 1 verified-property violation, 2 input error.
 """
@@ -23,7 +26,7 @@ import sys
 
 from .closures import closure_report, is_seminormal, is_t_closed, is_u_closed
 from .coclosures import CoClosure, coclosure_report
-from .corpus import CorpusConfig, generate_corpus
+from .corpus import MIN_TOP_SIZE, CorpusConfig, generate_corpus
 from .counting import (
     complement_count_formula,
     complement_count_lattice,
@@ -42,6 +45,7 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
+DEFAULT_MAX_SIZE = CorpusConfig.max_size
 
 
 def _load(path, max_size):
@@ -190,9 +194,7 @@ def _pick_suite(args):
 
 def cmd_verify(args):
     suite = _pick_suite(args)
-    cfg = CorpusConfig(
-        seed=args.seed, count=args.count, max_size=args.max_size or 2**12
-    )
+    cfg = CorpusConfig(seed=args.seed, count=args.count, max_size=args.max_size)
     entries = generate_corpus(cfg)
     report, ok = run_suite(entries, suite)
     payload = {
@@ -206,9 +208,7 @@ def cmd_verify(args):
 
 
 def cmd_corpus(args):
-    cfg = CorpusConfig(
-        seed=args.seed, count=args.count, max_size=args.max_size or 2**12
-    )
+    cfg = CorpusConfig(seed=args.seed, count=args.count, max_size=args.max_size)
     entries = generate_corpus(cfg)
     return {
         "seed": cfg.seed,
@@ -227,6 +227,20 @@ def cmd_corpus(args):
     }, EXIT_OK
 
 
+def max_size_arg(parser, help_, least):
+    """--max-size N with N >= least: a smaller cap admits no input at all."""
+    def size(text):
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"{n} is below {least}")
+        return n
+
+    parser.add_argument(
+        "--max-size", type=size, default=DEFAULT_MAX_SIZE, metavar="N",
+        help=f"{help_} (default {DEFAULT_MAX_SIZE}, at least {least})",
+    )
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fcplat",
@@ -243,10 +257,7 @@ def build_parser():
         p.add_argument("--json", help="also write the JSON report to PATH")
         if dot:
             p.add_argument("--dot", help="write the Hasse diagram to PATH")
-        p.add_argument(
-            "--max-size", type=int, default=None,
-            help="reject constructed rings larger than N",
-        )
+        max_size_arg(p, "reject constructed rings larger than N", 2)
         p.set_defaults(fn=fn)
         return p
 
@@ -266,14 +277,14 @@ def build_parser():
     pv.add_argument("--suite", help="suite name (same as the positional)")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--count", type=int, default=300)
-    pv.add_argument("--max-size", type=int, default=None)
+    max_size_arg(pv, "cap on the size of corpus tops", MIN_TOP_SIZE)
     pv.add_argument("--json", help="also write the JSON report to PATH")
     pv.set_defaults(fn=cmd_verify)
 
     pc = sub.add_parser("corpus", help="generate and describe a seeded corpus")
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--count", type=int, default=300)
-    pc.add_argument("--max-size", type=int, default=None)
+    max_size_arg(pc, "cap on the size of corpus tops", MIN_TOP_SIZE)
     pc.add_argument("--json", help="also write the JSON report to PATH")
     pc.set_defaults(fn=cmd_corpus)
     return parser

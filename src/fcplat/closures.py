@@ -14,7 +14,7 @@ import numpy as np
 from .spectrum import is_unramified, tensor_square
 from .linalg import kernel_mod
 from .structure import _nilpotent_mask
-from .submodule import Subalgebra, subring_generated
+from .submodule import Subalgebra, Submodule, subring_generated
 
 X_KINDS = ("s", "u", "t")
 
@@ -263,7 +263,7 @@ def is_radicial_residual(phi):
     """Is phi purely inseparable: every target element has a p-power in the image."""
     K = phi.target
     p = K.char
-    img = phi.image_elements()
+    img = Submodule.from_generators(K, phi.rows).elements()
     bound = K.size
     for v in K.elements():
         x = v

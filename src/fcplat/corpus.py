@@ -18,6 +18,8 @@ from .spectrum import Extension
 from .submodule import subring_generated
 
 BASE_FIELDS = (2, 3, 4, 5, 8, 9)
+# F4, F2 x F2 and F2[y]/(y^2) over F2 are the smallest proper extensions
+MIN_TOP_SIZE = 4
 
 
 @dataclass
@@ -57,11 +59,10 @@ def _random_factor(rng, cap):
         if deg == 1:
             return K, f"F{q}"
         if rng.random() < 0.6:
-            red = [K.zero] * deg  # truncated polynomials
+            red = [K.zero_vec()] * deg  # truncated polynomials
             tag = f"F{q}[y]/(y^{deg})"
         else:
-            red = [K.element(rng.choice(list(K.elements())))
-                   for _ in range(deg)]
+            red = [rng.choice(list(K.elements())) for _ in range(deg)]
             tag = f"F{q}[y]/(y^{deg}-...)"
         ring, _, _ = monogenic_quotient(K, deg, red)
         return ring, tag
@@ -82,11 +83,14 @@ def generate_corpus(config=None):
     """The deterministic corpus for the given configuration."""
     if config is None:
         config = CorpusConfig()
+    if config.max_size < MIN_TOP_SIZE:
+        raise ValueError(f"no proper extension has a top below {MIN_TOP_SIZE}")
+    typical = min(config.typical_size, config.max_size)
     rng = random.Random(config.seed)
     entries = []
     while len(entries) < config.count:
         # mostly small tops, occasionally up to the hard cap
-        cap = config.typical_size if rng.random() < 0.92 else config.max_size
+        cap = typical if rng.random() < 0.92 else config.max_size
         n_factors = rng.choice((1, 1, 1, 2, 2, 3))
         factors = []
         tags = []

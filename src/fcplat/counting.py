@@ -81,7 +81,7 @@ def _complement_count_local(ext, M):
     # A := R'/M for R' the idealizer of M in S
     M_S = _bottom_max_ideal_in_top(ext, M)
     Rp = idealizer(ext, M_S)
-    pres = ring_from_generators(S, Rp.basis, S.element(S.one))
+    pres = ring_from_generators(S, Rp.basis, S.one)
     m_rows = [pres.from_ambient(b) for b in M_S.basis]
     A, projA, _ = quotient_ring(pres.ring, m_rows)
 

@@ -10,6 +10,8 @@ exact over Z/L.
 
 from math import gcd
 
+import numpy as np
+
 
 def egcd(a, b):
     """Return (g, s, t) with g = gcd(a, b) = s*a + t*b."""
@@ -44,6 +46,13 @@ def unit_for(a, L):
 def scale_vector(vec, orders, L):
     """Embed an element of prod Z/d_i into (Z/L)^n, coordinate i scaled by L/d_i."""
     return tuple((v * (L // d)) % L for v, d in zip(vec, orders))
+
+
+def scale_rows(arr, orders, L):
+    """scale_vector on every row of an integer array, as an int64 array."""
+    factors = np.array([L // d for d in orders], dtype=np.int64)
+    arr = np.asarray(arr, dtype=np.int64).reshape(-1, len(orders))
+    return (arr * factors) % L
 
 
 def unscale_vector(vec, orders, L):

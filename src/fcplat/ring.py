@@ -5,6 +5,10 @@ divisibility chain of invariant factors) together with the multiplication
 table of the additive basis.  Every construction in this module funnels
 through `build_ring`, which takes generators-and-relations data and produces
 the invariant-factor presentation, so basis choices are deterministic.
+
+A ring element is its coefficient tuple over that basis, reduced modulo the
+orders, and a batch of elements is an int64 array of such rows (`mul_rows`,
+`mul_pairs`).  A set of elements is a Howell span (`submodule.Submodule`).
 """
 
 import itertools
@@ -12,7 +16,13 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .linalg import kernel_mod, scale_vector, smith_presentation
+from .linalg import (
+    howell_form,
+    kernel_mod,
+    scale_vector,
+    smith_presentation,
+    span_size,
+)
 
 # Rings are validated at construction; full associativity on all basis
 # triples is checked up to this rank, random triples beyond it (only very
@@ -206,19 +216,6 @@ class FiniteRing:
         """Products x*b for every row x of the integer array X, as an array."""
         return self.mul_pairs(X, b)[:, 0]
 
-    def is_nilpotent(self, a):
-        # nilpotency index is at most the module length, itself at most
-        # log2(size), so log-many squarings decide
-        x = tuple(a)
-        e = 1
-        bound = self.size.bit_length()
-        while e <= bound:
-            if not any(x):
-                return True
-            x = self._mul(x, x)
-            e *= 2
-        return not any(x)
-
     def zero_vec(self):
         return tuple([0] * self.rank)
 
@@ -245,87 +242,6 @@ class FiniteRing:
             self._cache[key] = arr
         return self._cache[key]
 
-    # -- wrapped elements ----------------------------------------------
-
-    def element(self, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != self.rank:
-            raise ValueError("coefficient vector has wrong length")
-        return Element(self, self.reduce(coeffs))
-
-    @property
-    def zero(self):
-        return Element(self, self.zero_vec())
-
-    @property
-    def one_element(self):
-        return Element(self, self.one)
-
-
-class Element:
-    """A ring element: owning ring plus coefficient tuple over its basis."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.coeffs = tuple(coeffs)
-
-    def _check(self, other):
-        if not isinstance(other, Element):
-            if isinstance(other, int):
-                return Element(self.ring, self.ring._smul(other, self.ring.one))
-            return NotImplemented
-        if other.ring is not self.ring:
-            raise ValueError("elements belong to different rings")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Element(self.ring, self.ring._add(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Element(self.ring, self.ring._sub(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return Element(self.ring, self.ring._neg(self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Element(self.ring, self.ring._smul(other, self.coeffs))
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Element(self.ring, self.ring._mul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        return Element(self.ring, self.ring._pow(self.coeffs, e))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and other.ring is self.ring
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.ring), self.coeffs))
-
-    def __repr__(self):
-        return f"Element{self.coeffs}"
-
-    def is_nilpotent(self):
-        return self.ring.is_nilpotent(self.coeffs)
-
 
 class RingMorphism:
     """A map of rings given by images of the additive basis of the source.
@@ -339,7 +255,6 @@ class RingMorphism:
         self.target = target
         self.rows = tuple(target.reduce(r) for r in rows)
         self.unital = unital
-        self._cache = {}
         if check:
             self._validate()
 
@@ -351,11 +266,7 @@ class RingMorphism:
         for i in range(src.rank):
             for j in range(i, src.rank):
                 lhs = tgt._mul(self.rows[i], self.rows[j])
-                rhs = tgt.zero_vec()
-                for k, c in enumerate(src.table[i][j]):
-                    if c:
-                        rhs = tgt._add(rhs, tgt._smul(c, self.rows[k]))
-                if lhs != rhs:
+                if lhs != self.apply(src.table[i][j]):
                     raise RingConstructionError("morphism not multiplicative")
         if self.unital and self.apply(src.one) != tgt.one:
             raise RingConstructionError("morphism does not preserve the unit")
@@ -368,26 +279,17 @@ class RingMorphism:
                 out = tgt._add(out, tgt._smul(c, row))
         return out
 
-    def __call__(self, elem):
-        if isinstance(elem, Element):
-            return Element(self.target, self.apply(elem.coeffs))
-        return self.apply(elem)
-
-    def image_elements(self):
-        if "image" not in self._cache:
-            self._cache["image"] = frozenset(
-                self.apply(v) for v in self.source.elements()
-            )
-        return self._cache["image"]
+    def _image_size(self):
+        """Order of the image: the Howell span of the basis images."""
+        tgt = self.target
+        rows = [scale_vector(r, tgt.orders, tgt.L) for r in self.rows]
+        return span_size(howell_form(rows, tgt.rank, tgt.L), tgt.L)
 
     def is_injective(self):
-        return len(self.image_elements()) == self.source.size
+        return self._image_size() == self.source.size
 
     def is_surjective(self):
-        return len(self.image_elements()) == self.target.size
-
-    def is_isomorphism(self):
-        return self.is_injective() and self.is_surjective()
+        return self._image_size() == self.target.size
 
 
 def build_ring(rel_rows, k, L, P, one_vec, label="R", check=True):
@@ -475,7 +377,7 @@ def galois_field(q):
     if k == 1:
         return base
     f = minimal_irreducible(p, k)
-    red = [base.element((( -f[s]) % p,)) for s in range(k)]
+    red = [((-f[s]) % p,) for s in range(k)]
     ring, _, _ = monogenic_quotient(base, k, red, label=f"F{q}")
     return ring
 
@@ -502,7 +404,7 @@ def monogenic_quotient(R, m, red, label=None):
     """
     if m < 1:
         raise ValueError("degree must be positive")
-    red_vecs = [r.coeffs if isinstance(r, Element) else tuple(r) for r in red]
+    red_vecs = [tuple(r) for r in red]
     if len(red_vecs) != m:
         raise ValueError("need exactly m reduction coefficients")
     n = R.rank
@@ -559,13 +461,10 @@ def monogenic_quotient(R, m, red, label=None):
         v[gen(0, i)] = 1
         embed_rows.append(to_new(v))
     embed = RingMorphism(R, ring, embed_rows)
-    xv = [0] * k
-    if m >= 2:
-        for i in range(n):
-            xv[gen(1, i)] = R.one[i]
-        x = to_new(xv)
-    else:
-        x = to_new([c for c in red_vecs[0]] + [0] * 0)  # X = red[0] when m == 1
+    if m == 1:  # X = red[0]
+        x = to_new(red_vecs[0])
+    else:  # X is 1 in the slot of X^1
+        x = to_new([c for s in range(m) for c in (R.one if s == 1 else [0] * n)])
     return ring, embed, x
 
 
@@ -601,12 +500,7 @@ def product_ring(factors, label=None):
     )
 
     def pack(parts):
-        v = [0] * k
-        for part, R, off in zip(parts, factors, offs):
-            vec = part.coeffs if isinstance(part, Element) else part
-            for i, c in enumerate(vec):
-                v[off + i] = c
-        return to_new(v)
+        return to_new([c for part in parts for c in part])
 
     return ring, pack
 
@@ -642,23 +536,22 @@ class SubringPresentation:
         self.to_ambient = to_ambient
         self._coords_of = coords_of
 
-    def from_ambient(self, elem):
-        vec = elem.coeffs if isinstance(elem, Element) else tuple(elem)
+    def from_ambient(self, vec):
         try:
-            return self._coords_of[vec]
+            return self._coords_of[tuple(vec)]
         except KeyError:
             raise ValueError("element does not lie in the subring") from None
 
 
-def ring_from_generators(ambient, gen_elems, one_elem, label=None, unital=None):
-    """Present the additive span of gen_elems as a ring of its own.
+def ring_from_generators(ambient, gens, one_vec, label=None, unital=None):
+    """Present the additive span of gens as a ring of its own.
 
-    The span must be closed under multiplication and contain one_elem, which
+    The span must be closed under multiplication and contain one_vec, which
     acts as the identity on it (for a subring sharing the ambient unit this
     is the ambient 1; for a factor e*R it is the idempotent e).
     """
-    gens = [g.coeffs if isinstance(g, Element) else tuple(g) for g in gen_elems]
-    one_vec = one_elem.coeffs if isinstance(one_elem, Element) else tuple(one_elem)
+    gens = [tuple(g) for g in gens]
+    one_vec = tuple(one_vec)
     k = len(gens)
     L = ambient.L
     # breadth-first closure of the additive span, remembering coordinates

@@ -17,7 +17,7 @@ A spec document is a JSON object::
       "extension": {"top": "S", "bottom": "B"}
     }
 
-Elements are coefficient vectors in the canonical basis of the referenced
+Ring elements are coefficient vectors in the canonical basis of the named
 ring (plain integers are accepted for rank-one rings).  Polynomial
 reductions list the coefficients of X^degree as an element of the base ring
 per slot, lowest degree first.  The extension bottom is either the name of

@@ -153,7 +153,7 @@ class Extension:
         top = self.top
         gens = [top._mul(e_amb, ej) for ej in top.basis_vectors]
         pres = ring_from_generators(
-            top, gens, top.element(e_amb),
+            top, gens, e_amb,
             label=f"{top.label}_loc", unital=False,
         )
         bot_gens = [

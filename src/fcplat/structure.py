@@ -117,7 +117,7 @@ def local_factors(R):
         for e in primitive_idempotents(R):
             gens = [R._mul(e, ej) for ej in R.basis_vectors]
             pres = ring_from_generators(
-                R, gens, R.element(e), label=f"{R.label}@{e}", unital=False
+                R, gens, e, label=f"{R.label}@{e}", unital=False
             )
             out.append((e, pres))
         R._cache["local_factors"] = out

@@ -11,11 +11,12 @@ import numpy as np
 from .linalg import (
     howell_contains,
     howell_form,
+    scale_rows,
     scale_vector,
     span_size,
     unscale_vector,
 )
-from .ring import Element, ring_from_generators
+from .ring import ring_from_generators
 
 
 class Submodule:
@@ -28,17 +29,13 @@ class Submodule:
 
     @classmethod
     def from_generators(cls, ambient, gens):
-        """The span of `gens`: Elements, coefficient tuples, or an integer
-        array of unscaled rows."""
+        """The span of `gens`: coefficient tuples, or an integer array of
+        unscaled rows."""
         L = ambient.L
         if isinstance(gens, np.ndarray):
-            rows = _scale_rows(ambient, gens).tolist()
+            rows = scale_rows(gens, ambient.orders, L).tolist()
         else:
-            rows = [
-                scale_vector(g.coeffs if isinstance(g, Element) else g,
-                             ambient.orders, L)
-                for g in gens
-            ]
+            rows = [scale_vector(g, ambient.orders, L) for g in gens]
         return cls(ambient, howell_form(rows, ambient.rank, L))
 
     @classmethod
@@ -70,8 +67,6 @@ class Submodule:
         return self._cache["size"]
 
     def contains(self, vec):
-        if isinstance(vec, Element):
-            vec = vec.coeffs
         amb = self.ambient
         return howell_contains(
             scale_vector(vec, amb.orders, amb.L), self.hrows, amb.rank, amb.L
@@ -81,7 +76,7 @@ class Submodule:
         """Vectorized membership for an integer array of unscaled rows."""
         amb = self.ambient
         L = amb.L
-        V = _scale_rows(amb, arr)
+        V = scale_rows(arr, amb.orders, L)
         n = amb.rank
         for row in self.hrows:
             j = next(k for k in range(n) if row[k])
@@ -127,9 +122,6 @@ class Submodule:
 
     def __le__(self, other):
         return all(other.contains(b) for b in self.basis)
-
-    def __lt__(self, other):
-        return self.size < other.size and self <= other
 
     def __repr__(self):
         return f"{type(self).__name__}(size={self.size})"
@@ -188,23 +180,14 @@ class Subalgebra(Submodule):
         if "as_ring" not in self._cache:
             basis = self.basis if self.basis else (self.ambient.one,)
             self._cache["as_ring"] = ring_from_generators(
-                self.ambient, basis, self.ambient.element(self.ambient.one)
+                self.ambient, basis, self.ambient.one
             )
         return self._cache["as_ring"]
 
 
-def _scale_rows(ambient, arr):
-    """Embed an integer array of unscaled rows into (Z/L)^n, as scale_vector."""
-    factors = np.array([ambient.L // d for d in ambient.orders], dtype=np.int64)
-    arr = np.asarray(arr, dtype=np.int64).reshape(-1, ambient.rank)
-    return (arr * factors) % ambient.L
-
-
 def subring_generated(ambient, gens):
     """Smallest unital subring containing the given elements."""
-    vecs = [g.coeffs if isinstance(g, Element) else tuple(g) for g in gens]
-    vecs.append(ambient.one)
-    current = Subalgebra.from_generators(ambient, vecs)
+    current = Subalgebra.from_generators(ambient, list(gens) + [ambient.one])
     while True:
         basis = current.basis
         extra = []
@@ -220,8 +203,7 @@ def subring_generated(ambient, gens):
 
 def ideal_generated(ambient, gens):
     """Smallest ideal of the ambient ring containing the given elements."""
-    vecs = [g.coeffs if isinstance(g, Element) else tuple(g) for g in gens]
-    current = Ideal.from_generators(ambient, vecs)
+    current = Ideal.from_generators(ambient, gens)
     while True:
         basis = current.basis
         extra = []

@@ -4,6 +4,7 @@ Criteria 4-8 share a single seeded 300-extension corpus and one run of the
 full verification suite, so the whole file stays within the time budgets.
 """
 
+import json
 import time
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from fcplat.spectrum import Extension, is_unramified
 from fcplat.structure import maximal_ideals
 from fcplat.submodule import subring_generated
 from fcplat.verify import run_suite, to_ambient_subalgebra
+from test_golden import DIGESTS as GOLDEN_DIGESTS, corpus_digests
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -47,7 +49,7 @@ def test_criterion_1_truncated_polynomial_counts():
     for q in (2, 3, 4, 5):
         start = time.monotonic()
         K = _field(q)
-        T, emb, y = monogenic_quotient(K, 4, [K.zero] * 4)
+        T, emb, y = monogenic_quotient(K, 4, [K.zero_vec()] * 4)
         bottom = subring_generated(T, list(emb.rows))
         lat = ExtensionLattice(Extension(T, bottom))
         assert lat.node_count() == q + 4, f"q={q}"
@@ -118,7 +120,7 @@ def test_criterion_3_unramified_not_hereditary():
     # R = F2[t]/(t^2) diagonally inside R x R is unramified, its seminormal
     # intermediate step is not, and the omega-closure is everything
     K = prime_field(2)
-    R, _, t = monogenic_quotient(K, 2, [K.zero, K.zero])
+    R, _, t = monogenic_quotient(K, 2, [K.zero_vec(), K.zero_vec()])
     S, pack = product_ring([R, R])
     bottom = subring_generated(S, [pack([t, t])])
     ext = Extension(S, bottom)
@@ -193,3 +195,11 @@ def test_criterion_8_classification_exhaustive(corpus_and_report):
         st = report[name]
         assert st["fail"] == 0 and st["pass"] == 300, name
     print("criterion 8: PASS")
+
+
+def test_corpus_and_report_match_golden_digests(corpus_and_report):
+    # the seed-0 corpus (names, descriptions, node keys) and its verify
+    # report are byte-identical to the ones the digests were taken from
+    entries, report, _, _ = corpus_and_report
+    want = json.loads(GOLDEN_DIGESTS.read_text())
+    assert corpus_digests(entries, report) == want

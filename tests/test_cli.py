@@ -1,9 +1,10 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from fcplat.cli import main
+from fcplat.cli import build_parser, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 B5101 = str(FIXTURES / "b5101_q2.json")
@@ -100,6 +101,48 @@ def test_exit_code_input_errors(capsys, tmp_path):
     assert main(["lattice", str(tmp_path / "missing.json")]) == 2
     assert main(["verify", "nonsense", "--count", "1"]) == 2
     assert main(["lattice", B5101, "--max-size", "8"]) == 2
+
+
+SPEC_COMMANDS = ("lattice", "closures", "coclosures", "classify", "count")
+
+
+def test_one_max_size_default_for_every_command():
+    parser = build_parser()
+    for argv in [[cmd, B5101] for cmd in SPEC_COMMANDS] + [["verify"],
+                                                           ["corpus"]]:
+        assert parser.parse_args(argv).max_size == 2**12, argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", B5101, "--max-size", "0"],
+    ["count", B5101, "--max-size", "1"],
+    ["corpus", "--max-size", "0"],
+    ["verify", "--count", "1", "--max-size", "3"],
+    ["corpus", "--max-size", "eight"],
+])
+def test_max_size_too_small_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--max-size" in capsys.readouterr().err
+
+
+def test_spec_commands_reject_oversize_top_by_default(capsys, tmp_path):
+    # F_1000003[x]/(x^2 - 1) has 10^12 elements
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({
+        "constructions": [
+            {"name": "K", "op": "prime_field", "args": {"p": 1000003}},
+            {"name": "T", "op": "monogenic",
+             "args": {"base": "K", "degree": 2, "reduction": [1, 0]}},
+        ],
+        "extension": {"top": "T", "bottom": {"generated_by": []}},
+    }))
+    start = time.monotonic()
+    for cmd in SPEC_COMMANDS:
+        assert main([cmd, str(spec)]) == 2
+        assert "exceeds cap 4096" in capsys.readouterr().err
+    assert time.monotonic() - start < 10
 
 
 def test_env_max_nodes(capsys, monkeypatch):

@@ -30,7 +30,9 @@ def prime_ext(S):
 
 def dual_numbers():
     F2 = prime_field(2)
-    return monogenic_quotient(F2, 2, [F2.zero, F2.zero], label="F2[t]/(t^2)")
+    return monogenic_quotient(
+        F2, 2, [F2.zero_vec(), F2.zero_vec()], label="F2[t]/(t^2)"
+    )
 
 
 def square_of_dual_numbers():
@@ -88,7 +90,7 @@ def test_diagonal_in_square_closures():
     ext, S, pack, R, t = square_of_dual_numbers()
     plus = seminormalization(ext)
     assert plus.size == 8
-    assert plus.contains(pack([t, R.zero]))
+    assert plus.contains(pack([t, R.zero_vec()]))
     top = ExtensionLattice(ext).top_node
     assert t_closure(ext) == top
     assert u_closure(ext) == top
@@ -119,7 +121,7 @@ def test_radicial_closure_equals_seminormalization():
     # over perfect residue fields the radicial closure is the
     # seminormalization; check on several shapes
     F3 = prime_field(3)
-    R3, _, _ = monogenic_quotient(F3, 2, [F3.zero, F3.zero])
+    R3, _, _ = monogenic_quotient(F3, 2, [F3.zero_vec(), F3.zero_vec()])
     exts = [
         prime_ext(R3),
         prime_ext(galois_field(9)),

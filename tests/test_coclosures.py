@@ -27,8 +27,8 @@ def two_branch_extension():
     U <= S subintegral.
     """
     F2 = prime_field(2)
-    R, _, t = monogenic_quotient(F2, 2, [F2.zero, F2.zero])
-    RX, embed, x = monogenic_quotient(R, 2, [R.zero, R.zero])
+    R, _, t = monogenic_quotient(F2, 2, [F2.zero_vec(), F2.zero_vec()])
+    RX, embed, x = monogenic_quotient(R, 2, [R.zero_vec(), R.zero_vec()])
     t_up = embed.apply(t)
     Rx, proj, _ = quotient_ring(RX, [RX._mul(t_up, x)], label="R[x]")
     assert Rx.size == 8
@@ -48,7 +48,7 @@ def test_two_branch_shape():
     u = u_closure(ext)
     assert u.size == 16
     # the u-closure is the full product of R with the copy of R inside R[x]
-    assert u.contains(pack([t, Rx.zero]))
+    assert u.contains(pack([t, Rx.zero_vec()]))
 
 
 def test_two_branch_co_closures():
@@ -92,7 +92,7 @@ def test_decomposed_pair_blocks_co_infra():
 def test_subintegral_extension_co_closures_are_bottom():
     # a subintegral extension qualifies at its own bottom for both kinds
     F2 = prime_field(2)
-    R, _, _ = monogenic_quotient(F2, 2, [F2.zero, F2.zero])
+    R, _, _ = monogenic_quotient(F2, 2, [F2.zero_vec(), F2.zero_vec()])
     lat = ExtensionLattice(prime_ext(R))
     for fn in (co_subintegral_closure, co_infra_integral_closure):
         res = fn(lat)

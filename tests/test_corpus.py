@@ -1,3 +1,5 @@
+import pytest
+
 from fcplat.corpus import CorpusConfig, generate_corpus
 
 
@@ -23,3 +25,18 @@ def test_different_seeds_differ():
     a = generate_corpus(CorpusConfig(seed=1, count=10))
     b = generate_corpus(CorpusConfig(seed=2, count=10))
     assert [e.key for e in a] != [e.key for e in b]
+
+
+def test_max_size_below_typical_size_caps_every_top():
+    cfg = CorpusConfig(seed=0, count=20, max_size=8)
+    assert cfg.max_size < cfg.typical_size
+    entries = generate_corpus(cfg)
+    assert len(entries) == 20
+    assert max(e.ext.top.size for e in entries) <= 8
+
+
+def test_max_size_below_every_proper_extension_is_refused():
+    # F4, F2 x F2 and F2[y]/(y^2) over F2 need a top of 4 elements
+    assert generate_corpus(CorpusConfig(seed=0, count=1, max_size=4))
+    with pytest.raises(ValueError):
+        generate_corpus(CorpusConfig(seed=0, count=1, max_size=3))

@@ -53,7 +53,7 @@ def test_count_one_on_inert_top():
     # F2 inside F4[y]/(y^2): the t-closure is F2 + F4 y, whose single
     # complement is the copy of F4
     F4 = galois_field(4)
-    S, _, y = monogenic_quotient(F4, 2, [F4.zero, F4.zero])
+    S, _, y = monogenic_quotient(F4, 2, [F4.zero_vec(), F4.zero_vec()])
     ext = prime_ext(S)
     lat = ExtensionLattice(ext)
     t_node = t_closure_node(lat)
@@ -67,7 +67,7 @@ def test_sum_formula_truncated_polynomials():
     # |[K, K[Y]/(Y^4)]| = q + 4, recovered as a sum of complement counts
     for q in (2, 3):
         K = galois_field(q) if q > 2 else prime_field(2)
-        T, _, _ = monogenic_quotient(K, 4, [K.zero] * 4)
+        T, _, _ = monogenic_quotient(K, 4, [K.zero_vec()] * 4)
         lat = ExtensionLattice(prime_ext(T))
         table, total = verify_sum_formula(lat, cross_check=True)
         assert total == q + 4
@@ -76,7 +76,7 @@ def test_sum_formula_truncated_polynomials():
 def test_sum_formula_with_middle_t_closure():
     # F2 inside F4[y]/(y^2): the t-closure sits strictly between the ends
     F4 = galois_field(4)
-    S, _, _ = monogenic_quotient(F4, 2, [F4.zero, F4.zero])
+    S, _, _ = monogenic_quotient(F4, 2, [F4.zero_vec(), F4.zero_vec()])
     lat = ExtensionLattice(prime_ext(S))
     table, total = verify_sum_formula(lat, cross_check=True)
     assert total == lat.node_count()

@@ -9,7 +9,7 @@ from fcplat.submodule import subring_generated
 
 def dual_numbers_lattice():
     K = prime_field(2)
-    R, _, _ = monogenic_quotient(K, 2, [K.zero, K.zero])  # F2[t]/(t^2)
+    R, _, _ = monogenic_quotient(K, 2, [K.zero_vec(), K.zero_vec()])  # F2[t]/(t^2)
     return ExtensionLattice(Extension(R, subring_generated(R, [])))
 
 

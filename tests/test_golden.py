@@ -53,10 +53,9 @@ def corpus_digests(entries, report):
 
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("fixture", FIXTURES)
-def test_spec_command_bytes(fixture, command, tmp_path, capsys):
+def test_spec_command_bytes(fixture, command, tmp_path):
     for path in run_command(fixture, command, tmp_path):
         assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
-    capsys.readouterr()
 
 
 def _regenerate():

@@ -37,7 +37,7 @@ def test_field_extension_f2_f4():
 
 def test_ramified_dual_numbers():
     F2 = prime_field(2)
-    R, _, t = monogenic_quotient(F2, 2, [F2.zero, F2.zero])
+    R, _, t = monogenic_quotient(F2, 2, [F2.zero_vec(), F2.zero_vec()])
     ext = prime_subring_extension(R)
     ts = tensor_square(ext)
     assert ts.ring.size == 16
@@ -74,7 +74,7 @@ def test_unramified_diagonal_in_square_of_dual_numbers():
     # R = F2[t]/(t^2) sits diagonally in R x R; this is unramified because
     # the conductor ideal M x M is generated downstairs at each factor
     F2 = prime_field(2)
-    R, _, t = monogenic_quotient(F2, 2, [F2.zero, F2.zero])
+    R, _, t = monogenic_quotient(F2, 2, [F2.zero_vec(), F2.zero_vec()])
     S, pack = product_ring([R, R])
     bottom = subring_generated(S, [pack([t, t])])
     ext = Extension(S, bottom)
@@ -87,7 +87,7 @@ def test_unramified_diagonal_in_square_of_dual_numbers():
 
 def test_conductor_and_supp():
     F2 = prime_field(2)
-    R, _, t = monogenic_quotient(F2, 2, [F2.zero, F2.zero])
+    R, _, t = monogenic_quotient(F2, 2, [F2.zero_vec(), F2.zero_vec()])
     ext = prime_subring_extension(R)
     C = ext.conductor_ideal()
     # (F2 : R) = 0 since t*R is not contained in F2

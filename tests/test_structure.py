@@ -22,7 +22,7 @@ from fcplat.submodule import Subalgebra, conductor, subring_generated
 def dual_numbers(q=2):
     F = galois_field(q)
     R, embed, t = monogenic_quotient(
-        F, 2, [F.zero, F.zero], label=f"F{q}[t]/(t^2)"
+        F, 2, [F.zero_vec(), F.zero_vec()], label=f"F{q}[t]/(t^2)"
     )
     return R, embed, t
 
@@ -98,7 +98,7 @@ def test_conductor_nontrivial():
     R, _, t = dual_numbers(2)
     S, pack = product_ring([R, R])
     diag_t = pack([t, t])
-    t1 = pack([t, R.zero])
+    t1 = pack([t, R.zero_vec()])
     mid = subring_generated(S, [diag_t, t1])
     assert mid.size == 8
     c = conductor(mid)
@@ -119,7 +119,7 @@ def test_conductor_field_extension_is_everything_or_proper():
 
 def test_maximal_ideal_of_local_ring_is_nilradical():
     F3 = prime_field(3)
-    R, _, t = monogenic_quotient(F3, 3, [F3.zero, F3.zero, F3.zero])
+    R, _, t = monogenic_quotient(F3, 3, [F3.zero_vec()] * 3)
     assert R.size == 27
     assert is_local(R)
     (M,) = maximal_ideals(R)
