@@ -150,18 +150,14 @@ def radicial_closure(ext):
     ts = tensor_square(ext)
     T = ts.ring
     top = ext.top
-    delta = (
-        np.array(ts.left.rows, dtype=np.int64)
-        - np.array(ts.right.rows, dtype=np.int64)
-    ) % T.np_orders
+    delta = (ts.left.matrix - ts.right.matrix) % T.np_orders
     arr = top.elements_array()
     imgs = (arr @ delta) % T.np_orders
     mask = _nilpotent_mask(T, imgs)
     sub = Subalgebra.from_generators(top, arr[mask])
     assert sub.size == int(mask.sum()), "radicial set must be additively closed"
     assert sub.is_subring()
-    for b in ext.bottom.basis:
-        assert sub.contains(b)
+    assert ext.bottom <= sub
     return sub
 
 
@@ -172,13 +168,24 @@ def omega_closure(lattice):
 
 def primitive_min_poly(phi):
     """Minimal polynomial over the source of phi of the first element that
-    generates the target field over the image of phi."""
+    generates the target field over the image of phi.
+
+    With q = |source| and |target| = q^m, an element v generates the target
+    over the image iff it lies in no proper subfield containing the image,
+    that is iff v^(q^(m/r)) != v for every prime r dividing m; every
+    element is tested at once, in lexicographic order.
+    """
     K = phi.target
-    prim = next(
-        v for v in K.elements()
-        if subring_generated(K, [v, *phi.rows]).size == K.size
-    )
-    return _min_poly(phi, prim)
+    q = phi.source.size
+    m = 0
+    while q**m < K.size:
+        m += 1
+    X = K.elements_array()
+    generates = np.ones(len(X), dtype=bool)
+    for r in range(2, m + 1):
+        if m % r == 0 and all(r % s for s in range(2, r)):
+            generates &= (K.pow_rows(X, q ** (m // r)) != X).any(axis=1)
+    return _min_poly(phi, X[generates.argmax()])
 
 
 def is_separable_residual(phi):
@@ -193,16 +200,20 @@ def is_separable_residual(phi):
 
 
 def _min_poly(phi, v):
-    """Minimal polynomial of v over the image of phi, coefficients in source."""
+    """Minimal polynomial of v over the image of phi, coefficients in source.
+
+    Polynomials are int64 arrays whose row i is the coefficient of X^i.
+    """
     k, K = phi.source, phi.target
-    powers = [K.one]
+    powers = np.array([K.one], dtype=np.int64)
     while True:
-        powers.append(K._mul(powers[-1], v))
+        powers = np.vstack([powers, K.mul_rows(powers[-1], v)])
         # find coefficients c_i in k with sum c_i v^i = v^d (least d wins)
         sol = _solve_lin_comb(phi, powers[:-1], powers[-1])
         if sol is not None:
             # monic: X^d - sum sol[i] X^i
-            return [k._neg(c) for c in sol] + [k.one]
+            sol = np.array(sol, dtype=np.int64).reshape(-1, k.rank)
+            return np.vstack([(-sol) % k.np_orders, [k.one]])
 
 
 def _solve_lin_comb(phi, basis_powers, target):
@@ -210,13 +221,14 @@ def _solve_lin_comb(phi, basis_powers, target):
 
     One kernel over F_p of the products phi(e_s)*b_i, e_s the source basis,
     stacked on the target: a kernel vector with last entry -1 holds the
-    coordinates of the c_i.  `_min_poly` solves only over powers that are
-    independent over the source, where a solution is unique.
+    coordinates of the c_i, returned as one tuple per c_i.  `_min_poly`
+    solves only over powers that are independent over the source, where a
+    solution is unique.
     """
     k, K = phi.source, phi.target
     p = K.L
-    rows = [K._mul(r, b) for b in basis_powers for r in phi.rows]
-    for a in kernel_mod(rows + [target], K.rank, p):
+    rows = K.mul_pairs(basis_powers, phi.matrix).reshape(-1, K.rank)
+    for a in kernel_mod(np.vstack([rows, [target]]).tolist(), K.rank, p):
         if a[-1]:
             scale = (-pow(a[-1], -1, p)) % p
             x = [(scale * c) % p for c in a[:-1]]
@@ -225,59 +237,46 @@ def _solve_lin_comb(phi, basis_powers, target):
 
 
 def _derivative(f, k):
-    return [k._smul(i + 1, c) for i, c in enumerate(f[1:])]
+    return (np.arange(1, len(f))[:, None] * f[1:]) % k.np_orders
 
 
 def _poly_gcd_is_one(f, g, k):
     """gcd(f, g) constant, for polynomials over the field k."""
 
     def norm(p):
-        while p and not any(p[-1]):
-            p = p[:-1]
-        return p
+        nonzero = np.flatnonzero(p.any(axis=1))
+        return p[:nonzero[-1] + 1] if len(nonzero) else p[:0]
 
     def pdiv(a, b):
-        a = list(a)
-        lead_inv = _field_inverse(k, b[-1])
-        while len(a) >= len(b) and norm(a):
-            c = k._mul(a[-1], lead_inv)
+        lead_inv = k.pow_rows(b[-1], k.size - 2)
+        while len(a) >= len(b):
+            c = k.mul_rows(a[-1], lead_inv)
             off = len(a) - len(b)
-            for i, bc in enumerate(b):
-                a[off + i] = k._sub(a[off + i], k._mul(c, bc))
+            a = a.copy()
+            a[off:] = (a[off:] - k.mul_pairs(b, c)[:, 0]) % k.np_orders
             a = norm(a)
-            if not a:
-                break
         return a
 
-    a, b = norm(list(f)), norm(list(g))
-    while b:
+    a, b = norm(f), norm(g)
+    while len(b):
         a, b = b, norm(pdiv(a, b))
     return len(a) == 1
-
-
-def _field_inverse(k, v):
-    return k._pow(v, k.size - 2)
 
 
 def is_radicial_residual(phi):
     """Is phi purely inseparable: every target element has a p-power in the image."""
     K = phi.target
     p = K.char
-    img = Submodule.from_generators(K, phi.rows).elements()
-    bound = K.size
-    for v in K.elements():
-        x = v
-        e = 1
-        ok = False
-        while e <= bound:
-            if x in img:
-                ok = True
-                break
-            x = K._pow(x, p)
-            e *= p
-        if not ok:
-            return False
-    return True
+    img = Submodule.from_generators(K, phi.matrix)
+    X = K.elements_array()
+    ok = img.contains_many(X)
+    # v, v^p, v^(p^2), ... while the exponent stays within |K|
+    e = p
+    while e <= K.size and not ok.all():
+        X = K.pow_rows(X, p)
+        ok |= img.contains_many(X)
+        e *= p
+    return bool(ok.all())
 
 
 def kappa_separable_closure(lattice):

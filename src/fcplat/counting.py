@@ -33,9 +33,8 @@ def idealizer(ext, M_sub):
     """
     S = ext.top
     arr = S.elements_array()
-    mask = np.ones(S.size, dtype=bool)
-    for m in M_sub.basis:
-        mask &= M_sub.contains_many(S.mul_many(arr, m))
+    prods = S.mul_pairs(arr, M_sub.basis_array())
+    mask = M_sub.contains_many(prods).reshape(len(arr), -1).all(axis=1)
     sub = Subalgebra.from_generators(S, arr[mask])
     assert sub.size == int(mask.sum()), "idealizer must be additively closed"
     assert sub.is_subring()
@@ -46,9 +45,7 @@ def idealizer(ext, M_sub):
 def _bottom_max_ideal_in_top(ext, M):
     """Carry a maximal ideal M of the bottom ring into the ambient top."""
     to_amb = ext.bottom_pres.to_ambient
-    return Submodule.from_generators(
-        ext.top, [to_amb.apply(b) for b in M.basis]
-    )
+    return Submodule.from_generators(ext.top, to_amb.apply_rows(M.basis))
 
 
 def complement_count_formula(ext):
@@ -82,27 +79,22 @@ def _complement_count_local(ext, M):
     M_S = _bottom_max_ideal_in_top(ext, M)
     Rp = idealizer(ext, M_S)
     pres = ring_from_generators(S, Rp.basis, S.one)
-    m_rows = [pres.from_ambient(b) for b in M_S.basis]
-    A, projA, _ = quotient_ring(pres.ring, m_rows)
+    A, projA, _ = quotient_ring(pres.ring, pres.from_ambient_rows(M_S.basis))
 
     # the residue field R/M mapped into A
     to_amb = ext.bottom_pres.to_ambient
-    psi_rows = [
-        projA.apply(pres.from_ambient(to_amb.apply(lift)))
-        for lift in liftsM
-    ]
+    psi_rows = projA.apply_rows(
+        pres.from_ambient_rows(to_amb.apply_rows(liftsM))
+    )
     psi = RingMorphism(kR, A, psi_rows)
 
-    coeffs_in_A = [psi.apply(c) for c in P]
-    seen = set()
-    for x in A.elements():
-        acc = A.zero_vec()
-        for c in reversed(coeffs_in_A):
-            acc = A._add(A._mul(acc, x), c)
-        if acc == A.zero_vec():
-            key = subring_generated(A, [x] + list(psi.rows)).key
-            seen.add(key)
-    return len(seen)
+    # P(x) by Horner's rule, for every x of A at once
+    X = A.elements_array()
+    acc = np.zeros_like(X)
+    for c in psi.apply_rows(P)[::-1]:
+        acc = (A.mul_rows(acc, X) + c) % A.np_orders
+    roots = X[~acc.any(axis=1)]
+    return len({subring_generated(A, [x, *psi.matrix]).key for x in roots})
 
 
 def t_closure_node(lattice, low=None, high=None):

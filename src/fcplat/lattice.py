@@ -8,6 +8,8 @@ are kept in a deterministic order (size, then canonical key).
 
 import os
 
+import numpy as np
+
 from .spectrum import Extension
 from .submodule import Subalgebra, subring_generated
 
@@ -42,18 +44,24 @@ def enumerate_interval(ambient, bottom, max_nodes=None):
     if max_nodes is None:
         max_nodes = _max_nodes_default()
     top = Subalgebra.whole(ambient)
-    top_elems = sorted(top.elements())
+    top_elems = ambient.elements_array()
+    # the lexicographic index of an element: mixed radix over the orders
+    radix = np.cumprod((1,) + ambient.orders[:0:-1])[::-1]
     seen = {bottom.key: bottom}
     frontier = [bottom]
     while frontier:
         T = frontier.pop()
-        covered = set(T.elements())
-        for x in top_elems:
-            if x in covered:
-                continue
-            U = subring_generated(ambient, list(T.basis) + [x])
-            for t in T.elements():
-                covered.add(ambient._add(x, t))
+        T_elems = T.elements_array()
+        covered = np.zeros(ambient.size, dtype=bool)
+        covered[T_elems @ radix] = True
+        while True:
+            # the least element of S outside the cosets of T seen so far
+            i = int(covered.argmin())
+            if covered[i]:
+                break
+            x = top_elems[i]
+            U = subring_generated(ambient, [*T.basis, x])
+            covered[((x + T_elems) % ambient.np_orders) @ radix] = True
             if U.key not in seen:
                 if len(seen) >= max_nodes:
                     raise LatticeBudgetExceeded(
@@ -92,13 +100,14 @@ class ExtensionLattice:
     def leq(self):
         """Containment matrix as a list of sets: leq[i] = {j : node_i <= node_j}."""
         if "leq" not in self._cache:
-            out = []
-            for i, a in enumerate(self.nodes):
-                ups = set()
-                for j, b in enumerate(self.nodes):
-                    if a.size <= b.size and (i == j or a <= b):
-                        ups.add(j)
-                out.append(ups)
+            # the basis rows of every node, tested against each node at once
+            rows = np.vstack([n.basis_array() for n in self.nodes])
+            starts = np.cumsum([0] + [len(n.hrows) for n in self.nodes[:-1]])
+            out = [set() for _ in self.nodes]
+            for j, b in enumerate(self.nodes):
+                inside = np.logical_and.reduceat(b.contains_many(rows), starts)
+                for i in np.flatnonzero(inside):
+                    out[i].add(j)
             self._cache["leq"] = out
         return self._cache["leq"]
 
@@ -213,7 +222,14 @@ class ExtensionLattice:
         return self.nodes[good[-1]]
 
     def join(self, a, b):
-        return subring_generated(self.ambient, list(a.basis) + list(b.basis))
+        """The subring a and b generate, kept per pair: complement counts
+        join the same pairs for many intervals."""
+        cache = self._cache.setdefault("join", {})
+        if (a.key, b.key) not in cache:
+            cache[a.key, b.key] = subring_generated(
+                self.ambient, [*a.basis, *b.basis]
+            )
+        return cache[a.key, b.key]
 
     def complements(self, T, low=None, high=None):
         """Nodes U in [low, high] with T cap U = low and T join U = high."""
@@ -234,7 +250,8 @@ class ExtensionLattice:
             pres = high.as_ring()
             bot = Subalgebra.from_generators(
                 pres.ring,
-                [pres.from_ambient(b) for b in low.basis] + [pres.ring.one],
+                np.vstack([pres.from_ambient_rows(low.basis),
+                           [pres.ring.one]]),
             )
             cache[ck] = (Extension(pres.ring, bot), pres)
         return cache[ck]

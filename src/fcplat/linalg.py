@@ -6,6 +6,10 @@ Howell normal form of their generator matrix after rescaling every coordinate
 into Z/L, L = d1.  The Howell form is the right canonical form here: unlike
 a mere echelon form it makes membership testing and equality of row spans
 exact over Z/L.
+
+Membership and coordinates both come from one vectorized reduction,
+`howell_contains`, which reduces a whole batch of rows against a Howell
+basis at once.
 """
 
 from math import gcd
@@ -43,27 +47,21 @@ def unit_for(a, L):
     return c % L
 
 
-def scale_vector(vec, orders, L):
-    """Embed an element of prod Z/d_i into (Z/L)^n, coordinate i scaled by L/d_i."""
-    return tuple((v * (L // d)) % L for v, d in zip(vec, orders))
-
-
 def scale_rows(arr, orders, L):
-    """scale_vector on every row of an integer array, as an int64 array."""
-    factors = np.array([L // d for d in orders], dtype=np.int64)
-    arr = np.asarray(arr, dtype=np.int64).reshape(-1, len(orders))
+    """Embed rows of prod Z/d_i into (Z/L)^n, coordinate i scaled by L/d_i.
+
+    Takes an integer array or a sequence of coefficient tuples and returns
+    an int64 array.
+    """
+    factors = L // np.asarray(orders, dtype=np.int64)
+    arr = np.asarray(arr, dtype=np.int64).reshape(-1, len(factors))
     return (arr * factors) % L
 
 
-def unscale_vector(vec, orders, L):
-    """Inverse of scale_vector on the image subgroup."""
-    out = []
-    for v, d in zip(vec, orders):
-        f = L // d
-        if v % f:
-            raise ValueError("vector not in the scaled image subgroup")
-        out.append((v // f) % d)
-    return tuple(out)
+def unscale_rows(arr, orders, L):
+    """Inverse of scale_rows on rows of the scaled image subgroup."""
+    factors = L // np.asarray(orders, dtype=np.int64)
+    return np.asarray(arr, dtype=np.int64).reshape(-1, len(factors)) // factors
 
 
 def howell_form(rows, n, L):
@@ -118,24 +116,35 @@ def howell_form(rows, n, L):
     return tuple(tuple(r) for r in result)
 
 
-def howell_reduce(vec, hrows, n, L):
-    """Reduce `vec` against a Howell basis; returns the residual vector.
+def howell_contains(V, hrows, L):
+    """Reduce a batch of rows against a Howell basis, all rows at once.
 
-    The residual is zero iff `vec` lies in the span.
+    V is an integer array of rows in (Z/L)^N and hrows a Howell basis there.
+    Returns (mask, residual): each row minus the multiples of the basis rows
+    that its pivot entries allow, and whether that residual is zero, which
+    by the Howell property is exactly membership in the span.  For a member
+    the subtracted multiples express it over hrows, so reducing (v, 0)
+    against the Howell form of (A | I) leaves minus the coordinates of v
+    over the rows of A in the tail.
     """
-    v = [x % L for x in vec]
-    for row in hrows:
-        j = next(k for k in range(n) if row[k])
-        p = row[j]
-        if v[j] % p == 0:
-            q = v[j] // p
-            if q:
-                v = [(x - q * y) % L for x, y in zip(v, row)]
-    return tuple(v)
-
-
-def howell_contains(vec, hrows, n, L):
-    return not any(howell_reduce(vec, hrows, n, L))
+    V = np.asarray(V, dtype=np.int64) % L
+    if not hrows:
+        return ~V.any(axis=1), V
+    H = np.array(hrows, dtype=np.int64)
+    cols = (H != 0).argmax(axis=1)
+    P = H[:, cols]  # upper triangular, the pivots on its diagonal
+    pivots = P.diagonal()
+    if np.count_nonzero(P) == len(P):
+        # no entry above a pivot: every multiple is read off at once
+        V -= (V[:, cols] // pivots) @ H
+        V %= L
+    else:
+        # a pivot divides L, and a row whose entry it does not divide stays
+        # nonzero in that column, since every later basis row is zero there
+        for row, j, p in zip(H, cols.tolist(), pivots.tolist()):
+            V -= (V[:, j] // p)[:, None] * row
+            V %= L
+    return ~V.any(axis=1), V
 
 
 def span_size(hrows, L):
@@ -163,7 +172,6 @@ def kernel_mod(rows, n, L):
     return tuple(row[n:] for row in h if not any(row[:n]))
 
 
-
 def smith_presentation(rel_rows, k, L):
     """Invariant-factor presentation of Z^k / Lambda, Lambda = <rel_rows> + L*Z^k.
 
@@ -177,10 +185,8 @@ def smith_presentation(rel_rows, k, L):
     contains L*Z^k by construction.  Vectorized with numpy so that large
     presentations (tensor squares) stay cheap.
     """
-    import numpy as np
-
-    rows = [r for r in ([x % L for x in rr] for rr in rel_rows) if any(r)]
-    M = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+    M = np.array(rel_rows, dtype=np.int64).reshape(-1, k) % L
+    M = M[M.any(axis=1)]
     nr = M.shape[0]
     V = np.eye(k, dtype=np.int64)
     Vinv = np.eye(k, dtype=np.int64)

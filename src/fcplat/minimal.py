@@ -18,6 +18,8 @@ decomposed and ramified shapes the least witness q is recorded.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .structure import maximal_ideals
 from .submodule import Submodule
 
@@ -89,10 +91,9 @@ def classify_minimal(ext):
     # isomorphic residual field
     if len(over) == 1 and over[0].key != C.key:
         N = over[0]
-        N2 = Submodule.from_generators(
-            B, [B._mul(a, b) for a in N.basis for b in N.basis]
-        )
-        if all(C.contains(v) for v in N2.basis):
+        NB = N.basis_array()
+        N2 = Submodule.from_generators(B, B.mul_pairs(NB, NB))
+        if N2 <= C:
             big = B.size // C.size
             rs = ext.residual_sizes(N)
             if big == q_res**2 and rs[0] == rs[1]:
@@ -110,15 +111,15 @@ def classify_minimal(ext):
 def _find_witness(ext, C, shifted):
     """Least q in B \\ A with q^2 - q (shifted) or q^2 (not) in the conductor."""
     B = ext.top
-    A = ext.bottom
-    for x in B.elements():
-        if A.contains(x):
-            continue
-        sq = B._mul(x, x)
-        val = B._sub(sq, x) if shifted else sq
-        if C.contains(val):
-            return x
-    return None
+    arr = B.elements_array()
+    val = B.mul_rows(arr, arr)
+    if shifted:
+        val = (val - arr) % B.np_orders
+    # elements_array is in lexicographic order, so the first hit is least
+    hits = np.flatnonzero(
+        ~ext.bottom.contains_many(arr) & C.contains_many(val)
+    )
+    return tuple(arr[hits[0]].tolist()) if len(hits) else None
 
 
 def classify_cover(lattice, i, j):

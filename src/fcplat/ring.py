@@ -7,8 +7,11 @@ through `build_ring`, which takes generators-and-relations data and produces
 the invariant-factor presentation, so basis choices are deterministic.
 
 A ring element is its coefficient tuple over that basis, reduced modulo the
-orders, and a batch of elements is an int64 array of such rows (`mul_rows`,
-`mul_pairs`).  A set of elements is a Howell span (`submodule.Submodule`).
+orders, and a batch of elements is an int64 array of such rows.  All ring
+arithmetic is batched: `mul_matrices`, `mul_pairs` and `mul_rows` are the
+only products, `RingMorphism.apply_rows` the only image map, and sums are
+plain array sums reduced modulo `np_orders`.  A set of elements is a Howell
+span (`submodule.Submodule`).
 """
 
 import itertools
@@ -17,12 +20,16 @@ from math import gcd, lcm
 import numpy as np
 
 from .linalg import (
+    howell_contains,
     howell_form,
-    kernel_mod,
-    scale_vector,
+    scale_rows,
     smith_presentation,
     span_size,
 )
+
+# The batched kernel sums rank products of entries below L in int64, so a
+# ring must keep rank * L^2 below this bound.
+INT64_BOUND = 2**63
 
 # Rings are validated at construction; full associativity on all basis
 # triples is checked up to this rank, random triples beyond it (only very
@@ -45,6 +52,10 @@ class FiniteRing:
         self.label = label
         if n == 0:
             raise RingConstructionError("the zero ring is excluded")
+        if n * max(self.orders) ** 2 >= INT64_BOUND:
+            raise RingConstructionError(
+                "rank * L^2 must stay below 2^63 for the int64 kernel"
+            )
         self.np_orders = np.array(self.orders, dtype=np.int64)
         self.np_orders.flags.writeable = False
         C = np.array(table, dtype=np.int64)
@@ -129,57 +140,14 @@ class FiniteRing:
             if not np.array_equal(left, right):
                 raise RingConstructionError("multiplication not associative")
 
-    # -- raw arithmetic on coefficient tuples --------------------------
-
-    def reduce(self, vec):
-        return tuple(int(v) % d for v, d in zip(vec, self.orders))
-
-    def _add(self, a, b):
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.orders))
-
-    def _sub(self, a, b):
-        return tuple((x - y) % d for x, y, d in zip(a, b, self.orders))
-
-    def _neg(self, a):
-        return tuple((-x) % d for x, d in zip(a, self.orders))
-
-    def _smul(self, c, a):
-        return tuple((c * x) % d for x, d in zip(a, self.orders))
-
-    def _mul(self, a, b):
-        n = self.rank
-        acc = [0] * n
-        table = self.table
-        for i in range(n):
-            ai = a[i]
-            if ai:
-                row = table[i]
-                for j in range(n):
-                    bj = b[j]
-                    if bj:
-                        c = ai * bj
-                        cell = row[j]
-                        for k in range(n):
-                            acc[k] += c * cell[k]
-        return tuple(x % d for x, d in zip(acc, self.orders))
-
-    def _pow(self, a, e):
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
-            e >>= 1
-        return result
-
     # -- batched arithmetic on integer arrays ----------------------------
     #
     # One kernel serves every batched product.  The multiplication matrices
     # of one factor are formed by one matmul against the structure
     # constants and reduced mod L, which every order divides, and a second
     # matmul applies them to the other factor.  Entries of the inputs lie
-    # in [0, L), so no intermediate exceeds rank * L^2.
+    # in [0, L), so no intermediate exceeds rank * L^2, which __init__
+    # keeps below 2^63.
 
     def mul_matrices(self, Y):
         """The matrices of x -> x * y for the rows y of Y, side by side.
@@ -199,22 +167,29 @@ class FiniteRing:
         """
         if mats is None:
             mats = self.mul_matrices(Y)
-        X = np.asarray(X, dtype=np.int64)
         n = self.rank
+        X = np.asarray(X, dtype=np.int64).reshape(-1, n)
         out = (X @ mats).reshape(len(X), mats.shape[1] // n, n)
         return out % self.np_orders
 
     def mul_rows(self, X, Y):
         """The row-wise products X[a] * Y[a], as an array."""
         n = self.rank
-        X = np.asarray(X, dtype=np.int64)
-        Y = np.asarray(Y, dtype=np.int64)
+        X = np.asarray(X, dtype=np.int64).reshape(-1, n)
+        Y = np.asarray(Y, dtype=np.int64).reshape(-1, n)
         M = ((X @ self.npC.reshape(n, n * n)) % self.L).reshape(-1, n, n)
         return (Y[:, None, :] @ M)[:, 0] % self.np_orders
 
-    def mul_many(self, X, b):
-        """Products x*b for every row x of the integer array X, as an array."""
-        return self.mul_pairs(X, b)[:, 0]
+    def pow_rows(self, X, e):
+        """The row-wise powers X[a]^e, by repeated squaring, as an array."""
+        X = np.asarray(X, dtype=np.int64).reshape(-1, self.rank)
+        out = np.tile(np.array(self.one, dtype=np.int64), (len(X), 1))
+        while e:
+            if e & 1:
+                out = self.mul_rows(out, X)
+            X = self.mul_rows(X, X)
+            e >>= 1
+        return out
 
     def zero_vec(self):
         return tuple([0] * self.rank)
@@ -234,12 +209,11 @@ class FiniteRing:
         return itertools.product(*[range(d) for d in self.orders])
 
     def elements_array(self):
+        """All coefficient tuples, in lexicographic order, as an array."""
         key = "elements_array"
         if key not in self._cache:
-            arr = np.array(list(self.elements()), dtype=np.int64).reshape(
-                self.size, self.rank
-            )
-            self._cache[key] = arr
+            grid = np.indices(self.orders, dtype=np.int64)
+            self._cache[key] = grid.reshape(self.rank, -1).T.copy()
         return self._cache[key]
 
 
@@ -253,36 +227,44 @@ class RingMorphism:
     def __init__(self, source, target, rows, unital=True, check=True):
         self.source = source
         self.target = target
-        self.rows = tuple(target.reduce(r) for r in rows)
+        # row i is the image of e_i
+        self.matrix = np.asarray(rows, dtype=np.int64).reshape(
+            source.rank, target.rank
+        ) % target.np_orders
         self.unital = unital
         if check:
             self._validate()
 
+    @property
+    def rows(self):
+        """The images of the basis, as coefficient tuples."""
+        return tuple(map(tuple, self.matrix.tolist()))
+
     def _validate(self):
         src, tgt = self.source, self.target
-        for i, row in enumerate(self.rows):
-            if any((src.orders[i] * c) % d for c, d in zip(row, tgt.orders)):
-                raise RingConstructionError("morphism not additively well defined")
-        for i in range(src.rank):
-            for j in range(i, src.rank):
-                lhs = tgt._mul(self.rows[i], self.rows[j])
-                if lhs != self.apply(src.table[i][j]):
-                    raise RingConstructionError("morphism not multiplicative")
+        if ((src.np_orders[:, None] * self.matrix) % tgt.np_orders).any():
+            raise RingConstructionError("morphism not additively well defined")
+        # phi(e_i) phi(e_j) against phi(e_i e_j), every pair at once
+        lhs = tgt.mul_pairs(self.matrix, self.matrix).reshape(-1, tgt.rank)
+        if not np.array_equal(lhs, self.apply_rows(src.npC)):
+            raise RingConstructionError("morphism not multiplicative")
         if self.unital and self.apply(src.one) != tgt.one:
             raise RingConstructionError("morphism does not preserve the unit")
 
+    def apply_rows(self, X):
+        """The images of the rows of an integer array, as an array."""
+        src = self.source
+        X = np.asarray(X, dtype=np.int64).reshape(-1, src.rank) % src.np_orders
+        return (X @ self.matrix) % self.target.np_orders
+
     def apply(self, vec):
-        tgt = self.target
-        out = tgt.zero_vec()
-        for c, row in zip(vec, self.rows):
-            if c:
-                out = tgt._add(out, tgt._smul(c, row))
-        return out
+        """The image of one coefficient tuple, as a tuple."""
+        return tuple(self.apply_rows(vec)[0].tolist())
 
     def _image_size(self):
         """Order of the image: the Howell span of the basis images."""
         tgt = self.target
-        rows = [scale_vector(r, tgt.orders, tgt.L) for r in self.rows]
+        rows = scale_rows(self.matrix, tgt.np_orders, tgt.L).tolist()
         return span_size(howell_form(rows, tgt.rank, tgt.L), tgt.L)
 
     def is_injective(self):
@@ -296,10 +278,15 @@ def build_ring(rel_rows, k, L, P, one_vec, label="R", check=True):
     """Construct a ring from k generators, relations and generator products.
 
     P is a k x k x k integer array: P[i][j] are the coordinates of g_i*g_j in
-    the generators.  Returns (ring, to_new, lift_rows) where to_new maps
-    generator coordinate vectors to basis coordinates of the new ring and
-    lift_rows[j] gives generator coordinates of the j-th new basis vector.
+    the generators.  Returns (ring, to_new, lift_rows) where to_new maps an
+    array of generator coordinate rows to basis coordinates of the new ring,
+    and row j of the array lift_rows gives generator coordinates of the j-th
+    new basis vector.
     """
+    if k * L * L >= INT64_BOUND:
+        raise RingConstructionError(
+            "generators * L^2 must stay below 2^63 for the int64 kernel"
+        )
     orders, V, Vinv = smith_presentation(rel_rows, k, L)
     m = len(orders)
     if m == 0:
@@ -313,15 +300,19 @@ def build_ring(rel_rows, k, L, P, one_vec, label="R", check=True):
     tmp = tmp.reshape(m, k, k).transpose(1, 0, 2).reshape(k, m * k)
     prod_old = (B @ tmp) % L
     table = (prod_old.reshape(m * m, k) @ Vn).reshape(m, m, m)
+    np_orders = np.array(orders, dtype=np.int64)
 
-    def to_new(x):
-        return tuple(
-            int(sum(int(xi) * V[i][j] for i, xi in enumerate(x)) % orders[j])
-            for j in range(m)
-        )
+    def to_new(X):
+        X = np.asarray(X, dtype=np.int64).reshape(-1, k) % L
+        return (X @ Vn) % np_orders
 
-    ring = FiniteRing(orders, table, to_new(one_vec), label=label, check=check)
-    return ring, to_new, [tuple(r) for r in Vinv]
+    ring = FiniteRing(orders, table, to_new(one_vec)[0], label=label,
+                      check=check)
+    return ring, to_new, B
+
+
+def _tuple(row):
+    return tuple(row.tolist())
 
 
 # -- constructors ------------------------------------------------------
@@ -409,63 +400,33 @@ def monogenic_quotient(R, m, red, label=None):
         raise ValueError("need exactly m reduction coefficients")
     n = R.rank
     k = n * m
-
-    def gen(s, i):
-        return s * n + i
-
-    L = R.L
-    rels = []
-    for s in range(m):
-        for i in range(n):
-            row = [0] * k
-            row[gen(s, i)] = R.orders[i]
-            rels.append(row)
-    # powers of X up to 2m-2 as lists of R-coefficient tuples
-    xpow = []
-    for u in range(m):
-        xpow.append([R.one if s == u else R.zero_vec() for s in range(m)])
+    # generator (s, i) is X^s e_i, at index s * n + i
+    rels = np.diag(np.tile(R.np_orders, m))
+    # xpow[u, s] is the R-coefficient of X^s in X^u, for u up to 2m - 2
+    xpow = np.zeros((2 * m - 1, m, n), dtype=np.int64)
+    xpow[np.arange(m), np.arange(m)] = R.one
+    red = np.array(red_vecs, dtype=np.int64).reshape(m, n)
     for u in range(m, 2 * m - 1):
-        prev = xpow[u - 1]
-        shifted = [R.zero_vec()] + prev[:-1]
-        overflow = prev[m - 1]
-        cur = []
-        for s in range(m):
-            term = shifted[s]
-            if any(overflow):
-                term = R._add(term, R._mul(overflow, red_vecs[s]))
-            cur.append(term)
-        xpow.append(cur)
-    P = np.zeros((k, k, k), dtype=np.int64)
-    for s in range(m):
-        for i in range(n):
-            for t in range(m):
-                for j in range(n):
-                    cvec = R.table[i][j]
-                    acc = [0] * k
-                    for sp in range(m):
-                        q = xpow[s + t][sp]
-                        if any(q):
-                            w = R._mul(cvec, q)
-                            for ip in range(n):
-                                acc[gen(sp, ip)] = w[ip]
-                    P[gen(s, i), gen(t, j)] = acc
-    one_vec = [0] * k
-    for i in range(n):
-        one_vec[gen(0, i)] = R.one[i]
+        # X^u = X * X^(u-1), with X^m replaced by sum red[s] X^s
+        overflow = R.mul_pairs(xpow[u - 1, m - 1], red)[0]
+        xpow[u, 1:] = xpow[u - 1, :-1]
+        xpow[u] = (xpow[u] + overflow) % R.np_orders
+    # (X^s e_i)(X^t e_j) = (e_i e_j) X^(s+t)
+    prods = R.mul_pairs(R.npC.reshape(n * n, n), xpow.reshape(-1, n))
+    prods = prods.reshape(n, n, 2 * m - 1, m, n)
+    st = np.add.outer(np.arange(m), np.arange(m))
+    P = prods[:, :, st].transpose(2, 0, 3, 1, 4, 5).reshape(k, k, k)
+    one_vec = np.zeros(k, dtype=np.int64)
+    one_vec[:n] = R.one
     ring, to_new, _ = build_ring(
-        rels, k, L, P, one_vec, label=label or f"{R.label}[x]/deg{m}"
+        rels, k, R.L, P, one_vec, label=label or f"{R.label}[x]/deg{m}"
     )
-    embed_rows = []
-    for i in range(n):
-        v = [0] * k
-        v[gen(0, i)] = 1
-        embed_rows.append(to_new(v))
-    embed = RingMorphism(R, ring, embed_rows)
+    embed = RingMorphism(R, ring, to_new(np.eye(n, k, dtype=np.int64)))
     if m == 1:  # X = red[0]
-        x = to_new(red_vecs[0])
+        x = to_new(red[0])
     else:  # X is 1 in the slot of X^1
-        x = to_new([c for s in range(m) for c in (R.one if s == 1 else [0] * n)])
-    return ring, embed, x
+        x = to_new(np.roll(one_vec, n))
+    return ring, embed, _tuple(x[0])
 
 
 def product_ring(factors, label=None):
@@ -474,33 +435,23 @@ def product_ring(factors, label=None):
     Returns (ring, pack) with pack mapping a tuple of factor coefficient
     tuples to coordinates of the product.
     """
-    ks = [R.rank for R in factors]
-    k = sum(ks)
-    offs = [sum(ks[:i]) for i in range(len(factors))]
+    orders = np.concatenate([R.np_orders for R in factors])
+    k = len(orders)
     L = lcm(*[R.L for R in factors])
-    rels = []
-    for R, off in zip(factors, offs):
-        for i in range(R.rank):
-            row = [0] * k
-            row[off + i] = R.orders[i]
-            rels.append(row)
     P = np.zeros((k, k, k), dtype=np.int64)
-    for R, off in zip(factors, offs):
-        for i in range(R.rank):
-            for j in range(R.rank):
-                for t, c in enumerate(R.table[i][j]):
-                    P[off + i, off + j, off + t] = c
-    one_vec = [0] * k
-    for R, off in zip(factors, offs):
-        for i, c in enumerate(R.one):
-            one_vec[off + i] = c
+    off = 0
+    for R in factors:
+        block = slice(off, off + R.rank)
+        P[block, block, block] = R.npC
+        off += R.rank
+    one_vec = np.concatenate([np.array(R.one) for R in factors])
     ring, to_new, _ = build_ring(
-        rels, k, L, P, one_vec,
+        np.diag(orders), k, L, P, one_vec,
         label=label or " x ".join(R.label for R in factors),
     )
 
     def pack(parts):
-        return to_new([c for part in parts for c in part])
+        return _tuple(to_new(np.concatenate(parts))[0])
 
     return ring, pack
 
@@ -512,35 +463,52 @@ def quotient_ring(R, ideal_rows, label=None):
     lift_rows[j] is an R-coefficient lift of the j-th basis vector.
     """
     n = R.rank
-    rels = []
-    for i in range(n):
-        row = [0] * n
-        row[i] = R.orders[i]
-        rels.append(row)
-    for r in ideal_rows:
-        rels.append(list(r))
-    P = R.npC
+    rels = np.vstack([
+        np.diag(R.np_orders),
+        np.asarray(ideal_rows, dtype=np.int64).reshape(-1, n),
+    ])
     ring, to_new, lift = build_ring(
-        rels, n, R.L, P, R.one, label=label or f"{R.label}/I"
+        rels, n, R.L, R.npC, R.one, label=label or f"{R.label}/I"
     )
-    project = RingMorphism(R, ring, [to_new(e) for e in R.basis_vectors])
-    lift_rows = [R.reduce(r) for r in lift]
-    return ring, project, lift_rows
+    project = RingMorphism(R, ring, to_new(np.eye(n, dtype=np.int64)))
+    return ring, project, lift % R.np_orders
+
+
+def _coordinates(ambient, aug, k, X):
+    """Coordinates of the rows of X over the k generators behind `aug`.
+
+    `aug` holds the rows of nonzero head of the Howell form of
+    (scaled gens | I).  Returns (mask, coords): which rows lie in the span,
+    and for those, generator coordinates that are unique modulo the
+    relations among the gens.
+    """
+    n = ambient.rank
+    V = scale_rows(X, ambient.np_orders, ambient.L)
+    V = np.hstack([V, np.zeros((len(V), k), dtype=np.int64)])
+    _, res = howell_contains(V, aug, ambient.L)
+    return ~res[:, :n].any(axis=1), -res[:, n:]
 
 
 class SubringPresentation:
     """A subset of an ambient ring re-presented as a ring of its own."""
 
-    def __init__(self, ring, to_ambient, coords_of):
+    def __init__(self, ring, to_ambient, aug, k, to_new):
         self.ring = ring
         self.to_ambient = to_ambient
-        self._coords_of = coords_of
+        self._aug = aug
+        self._k = k
+        self._to_new = to_new
+
+    def from_ambient_rows(self, X):
+        """Coordinates in `ring` of the ambient rows of an integer array."""
+        ok, coords = _coordinates(self.to_ambient.target, self._aug,
+                                  self._k, X)
+        if not ok.all():
+            raise ValueError("element does not lie in the subring")
+        return self._to_new(coords)
 
     def from_ambient(self, vec):
-        try:
-            return self._coords_of[tuple(vec)]
-        except KeyError:
-            raise ValueError("element does not lie in the subring") from None
+        return _tuple(self.from_ambient_rows(vec)[0])
 
 
 def ring_from_generators(ambient, gens, one_vec, label=None, unital=None):
@@ -550,49 +518,31 @@ def ring_from_generators(ambient, gens, one_vec, label=None, unital=None):
     acts as the identity on it (for a subring sharing the ambient unit this
     is the ambient 1; for a factor e*R it is the idempotent e).
     """
-    gens = [tuple(g) for g in gens]
-    one_vec = tuple(one_vec)
-    k = len(gens)
-    L = ambient.L
-    # breadth-first closure of the additive span, remembering coordinates
-    zero = ambient.zero_vec()
-    coords = {zero: tuple([0] * k)}
-    frontier = [zero]
-    while frontier:
-        e = frontier.pop()
-        ce = coords[e]
-        for g_idx, g in enumerate(gens):
-            w = ambient._add(e, g)
-            if w not in coords:
-                cw = list(ce)
-                cw[g_idx] = (cw[g_idx] + 1) % L
-                coords[w] = tuple(cw)
-                frontier.append(w)
-    if one_vec not in coords:
+    n, L = ambient.rank, ambient.L
+    G = np.asarray(gens, dtype=np.int64).reshape(-1, n) % ambient.np_orders
+    k = len(G)
+    aug = howell_form(
+        np.hstack([scale_rows(G, ambient.np_orders, L),
+                   np.eye(k, dtype=np.int64)]).tolist(),
+        n + k, L,
+    )
+    # its rows of zero head are the relations among the gens (`kernel_mod`),
+    # and the others give every member's coordinates over the gens
+    rels = [row[n:] for row in aug if not any(row[:n])]
+    aug = [row for row in aug if any(row[:n])]
+    targets = np.vstack([[one_vec], ambient.mul_pairs(G, G).reshape(-1, n)])
+    ok, coords = _coordinates(ambient, aug, k, targets)
+    if not ok[0]:
         raise RingConstructionError("unit not in the span of the generators")
-    rels = kernel_mod(
-        [scale_vector(g, ambient.orders, L) for g in gens], ambient.rank, L
-    )
-    P = np.zeros((k, k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(i, k):
-            prod = ambient._mul(gens[i], gens[j])
-            if prod not in coords:
-                raise RingConstructionError("generators do not span a closed set")
-            P[i, j] = coords[prod]
-            P[j, i] = coords[prod]
+    if not ok.all():
+        raise RingConstructionError("generators do not span a closed set")
     ring, to_new, lift = build_ring(
-        rels, k, L, P, coords[one_vec], label=label or f"{ambient.label}|sub"
+        rels, k, L, coords[1:].reshape(k, k, k), coords[0],
+        label=label or f"{ambient.label}|sub",
     )
-    amb_rows = []
-    for row in lift:
-        v = ambient.zero_vec()
-        for c, g in zip(row, gens):
-            if c:
-                v = ambient._add(v, ambient._smul(c, g))
-        amb_rows.append(v)
     if unital is None:
-        unital = one_vec == ambient.one
+        one_vec = np.asarray(one_vec) % ambient.np_orders
+        unital = _tuple(one_vec) == ambient.one
+    amb_rows = (lift @ G) % ambient.np_orders
     to_ambient = RingMorphism(ring, ambient, amb_rows, unital=unital)
-    coords_of = {e: to_new(c) for e, c in coords.items()}
-    return SubringPresentation(ring, to_ambient, coords_of)
+    return SubringPresentation(ring, to_ambient, aug, k, to_new)

@@ -26,6 +26,7 @@ a ``subring`` construction based on the top, or an inline object
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 from .ring import (
@@ -79,6 +80,35 @@ def _resolve(rings, name, what):
     return rings[name]
 
 
+def _check_size(name, op, args, rings, max_size):
+    """Refuse a construction whose size, read from its arguments, exceeds
+    the cap, before it is built: large fields are slow to build.
+
+    Malformed arguments are left for the build to report; quotients and
+    subrings are no larger than their base, which has passed already.
+    """
+    def ring(ref):
+        return rings.get(ref) if isinstance(ref, str) else None
+
+    size = None
+    if op in ("prime_field", "galois_field"):
+        size = args.get("p" if op == "prime_field" else "q")
+    elif op == "monogenic":
+        base, degree = ring(args.get("base")), args.get("degree")
+        if base is not None and isinstance(degree, int) and degree >= 1:
+            if degree > max_size.bit_length():  # |base| >= 2
+                raise SpecError(
+                    f"{name}: size {base.size}^{degree} exceeds cap {max_size}"
+                )
+            size = base.size**degree
+    elif op == "product":
+        factors = args.get("factors")
+        if isinstance(factors, list) and all(map(ring, factors)):
+            size = math.prod(ring(f).size for f in factors)
+    if isinstance(size, int) and size > max_size:
+        raise SpecError(f"{name}: size {size} exceeds cap {max_size}")
+
+
 def parse_spec(text, max_size=None):
     """Parse a spec document and build its extension.
 
@@ -114,14 +144,12 @@ def parse_spec(text, max_size=None):
             raise SpecError(f"unknown op {op!r}")
         if not isinstance(args, dict):
             raise SpecError(f"{name}: args must be an object")
+        if max_size is not None:
+            _check_size(name, op, args, rings, max_size)
         try:
             rings[name] = _build(op, args, rings, subring_gens, name)
         except RingConstructionError as exc:
             raise SpecError(f"{name}: {exc}") from exc
-        if max_size is not None and rings[name].size > max_size:
-            raise SpecError(
-                f"{name}: size {rings[name].size} exceeds cap {max_size}"
-            )
 
     top = _resolve(rings, ext_spec.get("top"), "extension.top")
     bottom_spec = ext_spec.get("bottom")

@@ -9,7 +9,7 @@ S (x)_R S by generators and relations, and the predicates built on it
 
 import numpy as np
 
-from .linalg import kernel_mod, scale_vector
+from .linalg import kernel_mod, scale_rows
 from .ring import RingMorphism, build_ring, ring_from_generators
 from .structure import (
     is_field,
@@ -51,12 +51,19 @@ class Extension:
         return self._cache["conductor"]
 
     def ideal_to_bottom(self, sub):
-        """Intersect a subgroup of S with R and view it inside the bottom ring."""
-        pres = self.bottom_pres
-        common = sub.intersect(self.bottom).basis
-        return Ideal.from_generators(
-            pres.ring, [pres.from_ambient(v) for v in common]
-        )
+        """Intersect a subgroup of S with R and view it inside the bottom ring.
+
+        Results are kept per subgroup: residual sizes and lying-over ask for
+        the same maximal ideals many times over.
+        """
+        cache = self._cache.setdefault("to_bottom", {})
+        if sub.hrows not in cache:
+            pres = self.bottom_pres
+            common = sub.intersect(self.bottom).basis
+            cache[sub.hrows] = Ideal.from_generators(
+                pres.ring, pres.from_ambient_rows(common)
+            )
+        return cache[sub.hrows]
 
     # -- lying over ----------------------------------------------------
 
@@ -87,7 +94,7 @@ class Extension:
         kP, _, liftsP = residue_field(Rr, P)
         kN, projN, _ = residue_field(self.top, N)
         to_amb = self.bottom_pres.to_ambient
-        rows = [projN.apply(to_amb.apply(lift)) for lift in liftsP]
+        rows = projN.apply_rows(to_amb.apply_rows(liftsP))
         return RingMorphism(kP, kN, rows)
 
     def residual_extensions(self):
@@ -125,11 +132,9 @@ class Extension:
         to_amb = self.bottom_pres.to_ambient
         for e, M in max_ideal_idempotent_pairs(self.bottom_ring):
             e_amb = to_amb.apply(e)
-            lo = Submodule.from_generators(
-                top, [top._mul(e_amb, v) for v in lower.basis]
-            )
-            up = Submodule.from_generators(
-                top, [top._mul(e_amb, v) for v in upper.basis]
+            lo, up = (
+                Submodule.from_generators(top, top.mul_pairs(s.basis, e_amb))
+                for s in (lower, upper)
             )
             if lo != up:
                 out.append(M)
@@ -151,16 +156,16 @@ class Extension:
         e = next(e for e, MM in pairs if MM.key == M.key)
         e_amb = self.bottom_pres.to_ambient.apply(e)
         top = self.top
-        gens = [top._mul(e_amb, ej) for ej in top.basis_vectors]
+        gens = top.mul_pairs(np.eye(top.rank, dtype=np.int64), e_amb)
         pres = ring_from_generators(
             top, gens, e_amb,
             label=f"{top.label}_loc", unital=False,
         )
-        bot_gens = [
-            pres.from_ambient(top._mul(e_amb, b)) for b in self.bottom.basis
-        ]
+        bot_gens = pres.from_ambient_rows(
+            top.mul_pairs(self.bottom.basis, e_amb)
+        )
         bottom_loc = Subalgebra.from_generators(
-            pres.ring, bot_gens + [pres.ring.one]
+            pres.ring, np.vstack([bot_gens, [pres.ring.one]])
         )
         return Extension(pres.ring, bottom_loc), pres
 
@@ -180,14 +185,9 @@ class TensorSquare:
         if "kernel" not in self._cache:
             S = self.codiagonal.target
             T = self.ring
-            rows = [
-                scale_vector(r, S.orders, S.L) for r in self.codiagonal.rows
-            ]
-            ker = kernel_mod(rows, S.rank, S.L)
-            self._cache["kernel"] = Submodule.from_generators(
-                T, [tuple(int(x) % d for x, d in zip(row, T.orders))
-                    for row in ker]
-            )
+            rows = scale_rows(self.codiagonal.matrix, S.np_orders, S.L)
+            ker = kernel_mod(rows.tolist(), S.rank, S.L)
+            self._cache["kernel"] = Submodule.from_generators(T, ker)
         return self._cache["kernel"]
 
 
@@ -201,67 +201,31 @@ def tensor_square(ext):
     L = S.L
     C = S.npC
 
-    def gen(i, j):
-        return i * n + j
-
-    rels = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * k
-            row[gen(i, j)] = S.orders[i]
-            rels.append(tuple(row))
-            row2 = [0] * k
-            row2[gen(i, j)] = S.orders[j]
-            rels.append(tuple(row2))
-    # bilinearity over R: (r e_i) (x) e_j = e_i (x) (r e_j) for r in a basis of R
-    e_rows = S.basis_vectors
-    for r in ext.bottom.basis:
-        for i in range(n):
-            ri = S._mul(r, e_rows[i])
-            for j in range(n):
-                rj = S._mul(r, e_rows[j])
-                row = [0] * k
-                for a in range(n):
-                    row[gen(a, j)] += ri[a]
-                for b in range(n):
-                    row[gen(i, b)] -= rj[b]
-                if any(row):
-                    rels.append(tuple(x % L for x in row))
+    # generator e_i (x) e_j sits at index i * n + j
+    eye = np.eye(n, dtype=np.int64)
+    # its additive order divides d_i and d_j
+    orders = np.stack([np.repeat(S.np_orders, n), np.tile(S.np_orders, n)], 1)
+    order_rels = np.einsum("gt,gh->gth", orders, np.eye(k, dtype=np.int64))
+    # bilinearity over R: (r e_i) (x) e_j = e_i (x) (r e_j) for r in a basis
+    # of R; RE[r, i] = r e_i, and the row of (r, i, j) lives on (a, b)
+    RE = S.mul_pairs(ext.bottom.basis, eye)
+    bil = (np.einsum("ria,jb->rijab", RE, eye)
+           - np.einsum("rjb,ia->rijab", RE, eye)) % L
+    rels = np.vstack([order_rels.reshape(-1, k), bil.reshape(-1, k)])
     P = np.einsum("iau,jbv->ijabuv", C, C).reshape(k, k, k)
-    one = np.zeros(k, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            one[gen(i, j)] = S.one[i] * S.one[j]
+    one = np.outer(S.one, S.one).reshape(k)
     ring, to_new, lifts = build_ring(
-        rels, k, L, P, tuple(int(x) for x in one),
-        label=f"{S.label}(x){S.label}",
+        rels, k, L, P, one, label=f"{S.label}(x){S.label}",
     )
-    left_rows = []
-    right_rows = []
-    for i in range(n):
-        v = [0] * k
-        for j in range(n):
-            v[gen(i, j)] = S.one[j]
-        left_rows.append(to_new(v))
-        w = [0] * k
-        for j in range(n):
-            w[gen(j, i)] = S.one[j]
-        right_rows.append(to_new(w))
-    left = RingMorphism(S, ring, left_rows, check=False)
-    right = RingMorphism(S, ring, right_rows, check=False)
-    codiag_rows = []
-    for lift in lifts:
-        out = S.zero_vec()
-        for g, c in enumerate(lift):
-            if c:
-                i, j = divmod(g, n)
-                out = S._add(out, S._smul(c, S._mul(e_rows[i], e_rows[j])))
-        codiag_rows.append(out)
-    codiag = RingMorphism(ring, S, codiag_rows, check=False)
+    one_row = np.array(S.one, dtype=np.int64)
+    left = RingMorphism(S, ring, to_new(np.kron(eye, one_row)), check=False)
+    right = RingMorphism(S, ring, to_new(np.kron(one_row, eye)), check=False)
+    # lift g = (i, j) goes to e_i e_j
+    codiag = RingMorphism(ring, S, (lifts @ C.reshape(k, n)) % S.np_orders,
+                          check=False)
     # sanity: codiagonal splits both structural maps
-    for i in range(n):
-        assert codiag.apply(left_rows[i]) == e_rows[i]
-        assert codiag.apply(right_rows[i]) == e_rows[i]
+    assert np.array_equal(codiag.apply_rows(left.matrix), eye)
+    assert np.array_equal(codiag.apply_rows(right.matrix), eye)
     ts = TensorSquare(ring, left, right, codiag)
     ext._cache["tensor_square"] = ts
     return ts
@@ -301,7 +265,7 @@ def is_unramified_local(ext):
         # image of N cap R in the factor
         common = N.intersect(ext.bottom).basis
         PSf = ideal_generated(
-            Sf, [pres.from_ambient(top._mul(e, v)) for v in common]
+            Sf, pres.from_ambient_rows(top.mul_pairs(common, e))
         )
         (Nf,) = maximal_ideals(Sf)
         if PSf != Nf:
@@ -322,8 +286,10 @@ def is_locally_epimorphism(ext):
     top = ext.top
     for f, pres in local_factors(top):
         Sf = pres.ring
-        bot_gens = [pres.from_ambient(top._mul(f, b)) for b in ext.bottom.basis]
-        bottom_f = Subalgebra.from_generators(Sf, bot_gens + [Sf.one])
+        bot_gens = pres.from_ambient_rows(top.mul_pairs(ext.bottom.basis, f))
+        bottom_f = Subalgebra.from_generators(
+            Sf, np.vstack([bot_gens, [Sf.one]])
+        )
         sub = Extension(Sf, bottom_f)
         if not is_epimorphism(sub):
             return False

@@ -41,15 +41,14 @@ def primitive_idempotents(R):
     """The primitive idempotents; one per local factor, sorted."""
     if "prim_idempotents" not in R._cache:
         idems = [e for e in idempotents(R) if any(e)]
-        prim = []
-        for e in idems:
-            # e is primitive iff no idempotent sits properly below it:
-            # e*f is an idempotent below e, so demand e*f in {0, e}
-            if all(
-                (p := R._mul(e, f)) == e or not any(p) for f in idems
-            ):
-                prim.append(e)
-        R._cache["prim_idempotents"] = prim
+        E = np.array(idems, dtype=np.int64).reshape(-1, R.rank)
+        # e is primitive iff no idempotent sits properly below it:
+        # e*f is an idempotent below e, so demand e*f in {0, e}
+        P = R.mul_pairs(E, E)
+        ok = (P == E[:, None]).all(axis=2) | ~P.any(axis=2)
+        R._cache["prim_idempotents"] = [
+            e for e, row in zip(idems, ok) if row.all()
+        ]
     return R._cache["prim_idempotents"]
 
 
@@ -66,10 +65,11 @@ def max_ideal_idempotent_pairs(R):
     sorted by the canonical key of the ideal."""
     if "max_pairs" not in R._cache:
         arr = R.elements_array()
+        prims = primitive_idempotents(R)
+        prods = R.mul_pairs(arr, prims)
         out = []
-        for e in primitive_idempotents(R):
-            prods = R.mul_many(arr, e)
-            mask = _nilpotent_mask(R, prods)
+        for b, e in enumerate(prims):
+            mask = _nilpotent_mask(R, prods[:, b])
             out.append((e, Ideal.from_generators(R, arr[mask])))
         out.sort(key=lambda em: em[1].key)
         assert len(set(m.key for _, m in out)) == len(out)
@@ -99,11 +99,15 @@ def residue_field(R, M):
     """R/M for a maximal ideal M.
 
     Returns (field, projection morphism, lift rows) where the lift rows give
-    an R-coefficient preimage of each basis vector of the field.
+    an R-coefficient preimage of each basis vector of the field.  Each is
+    built once per ring: residual extensions ask for the same ones often.
     """
-    field, project, lifts = quotient_ring(R, M.basis, label=f"{R.label}/M")
-    assert is_field(field)
-    return field, project, lifts
+    fields = R._cache.setdefault("residue_fields", {})
+    if M.hrows not in fields:
+        field, project, lifts = quotient_ring(R, M.basis, label=f"{R.label}/M")
+        assert is_field(field)
+        fields[M.hrows] = field, project, lifts
+    return fields[M.hrows]
 
 
 def local_factors(R):
@@ -114,8 +118,9 @@ def local_factors(R):
     """
     if "local_factors" not in R._cache:
         out = []
+        eye = np.eye(R.rank, dtype=np.int64)
         for e in primitive_idempotents(R):
-            gens = [R._mul(e, ej) for ej in R.basis_vectors]
+            gens = R.mul_pairs(eye, [e])[:, 0]
             pres = ring_from_generators(
                 R, gens, e, label=f"{R.label}@{e}", unital=False
             )

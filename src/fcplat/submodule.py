@@ -2,8 +2,11 @@
 
 A Submodule is canonicalized by the Howell form of its generators inside
 (Z/L)^n after coordinate scaling, so equal subsets always compare equal and
-hash alike.  Sums and intersections are Howell forms too; element sets are
-materialized lazily only where a caller enumerates the members.
+hash alike.  Sums and intersections are Howell forms too.  Membership is one
+batched Howell reduction (`contains_many`), and subring and ideal
+generation test a whole round of basis products with it at once.  The
+members of a span are enumerated only where a caller needs them, once, by a
+mixed-radix walk of the Howell basis into the sorted `elements_array`.
 """
 
 import numpy as np
@@ -12,9 +15,8 @@ from .linalg import (
     howell_contains,
     howell_form,
     scale_rows,
-    scale_vector,
     span_size,
-    unscale_vector,
+    unscale_rows,
 )
 from .ring import ring_from_generators
 
@@ -32,10 +34,7 @@ class Submodule:
         """The span of `gens`: coefficient tuples, or an integer array of
         unscaled rows."""
         L = ambient.L
-        if isinstance(gens, np.ndarray):
-            rows = scale_rows(gens, ambient.orders, L).tolist()
-        else:
-            rows = [scale_vector(g, ambient.orders, L) for g in gens]
+        rows = scale_rows(gens, ambient.np_orders, L).tolist()
         return cls(ambient, howell_form(rows, ambient.rank, L))
 
     @classmethod
@@ -54,11 +53,18 @@ class Submodule:
     def basis(self):
         """Unscaled generator rows (coefficient tuples of the ambient)."""
         if "basis" not in self._cache:
-            amb = self.ambient
-            self._cache["basis"] = tuple(
-                unscale_vector(r, amb.orders, amb.L) for r in self.hrows
-            )
+            rows = self.basis_array().tolist()
+            self._cache["basis"] = tuple(map(tuple, rows))
         return self._cache["basis"]
+
+    def basis_array(self):
+        """The unscaled generator rows as an int64 array."""
+        if "basis_array" not in self._cache:
+            amb = self.ambient
+            arr = unscale_rows(self.hrows, amb.np_orders, amb.L)
+            arr.flags.writeable = False
+            self._cache["basis_array"] = arr
+        return self._cache["basis_array"]
 
     @property
     def size(self):
@@ -67,48 +73,38 @@ class Submodule:
         return self._cache["size"]
 
     def contains(self, vec):
-        amb = self.ambient
-        return howell_contains(
-            scale_vector(vec, amb.orders, amb.L), self.hrows, amb.rank, amb.L
-        )
+        return bool(self.contains_many([vec])[0])
 
     def contains_many(self, arr):
         """Vectorized membership for an integer array of unscaled rows."""
         amb = self.ambient
-        L = amb.L
-        V = scale_rows(arr, amb.orders, L)
-        n = amb.rank
-        for row in self.hrows:
-            j = next(k for k in range(n) if row[k])
-            p = row[j]
-            col = V[:, j]
-            q = np.where(col % p == 0, col // p, 0)
-            V = (V - q[:, None] * np.array(row, dtype=np.int64)) % L
-        return ~V.any(axis=1)
+        V = scale_rows(arr, amb.np_orders, amb.L)
+        return howell_contains(V, self.hrows, amb.L)[0]
+
+    def elements_array(self):
+        """All members, sorted lexicographically, as an int64 array.
+
+        Each member is sum c_t h_t over the Howell rows h_t with
+        0 <= c_t < L / pivot_t, in exactly one way, so the walk over that
+        mixed-radix box lists every member once.
+        """
+        if "elements_array" not in self._cache:
+            amb = self.ambient
+            L = amb.L
+            V = np.zeros((1, amb.rank), dtype=np.int64)
+            for row in self.hrows:
+                p = next(x for x in row if x)
+                steps = np.arange(L // p, dtype=np.int64)[:, None] * row
+                V = ((V[None] + steps[:, None]) % L).reshape(-1, amb.rank)
+            V //= L // amb.np_orders
+            arr = V[np.lexsort(V.T[::-1])]
+            arr.flags.writeable = False
+            self._cache["elements_array"] = arr
+        return self._cache["elements_array"]
 
     def elements(self):
         """Frozenset of all member coefficient tuples."""
-        if "elements" not in self._cache:
-            amb = self.ambient
-            seen = {amb.zero_vec()}
-            frontier = [amb.zero_vec()]
-            basis = self.basis
-            while frontier:
-                v = frontier.pop()
-                for b in basis:
-                    w = amb._add(v, b)
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            self._cache["elements"] = frozenset(seen)
-        return self._cache["elements"]
-
-    def elements_array(self):
-        if "elements_array" not in self._cache:
-            self._cache["elements_array"] = np.array(
-                sorted(self.elements()), dtype=np.int64
-            ).reshape(self.size, self.ambient.rank)
-        return self._cache["elements_array"]
+        return frozenset(map(tuple, self.elements_array().tolist()))
 
     def __eq__(self, other):
         return (
@@ -121,7 +117,7 @@ class Submodule:
         return hash((id(self.ambient), self.hrows))
 
     def __le__(self, other):
-        return all(other.contains(b) for b in self.basis)
+        return bool(other.contains_many(self.basis_array()).all())
 
     def __repr__(self):
         return f"{type(self).__name__}(size={self.size})"
@@ -152,20 +148,16 @@ class Submodule:
 
     def is_ideal(self):
         amb = self.ambient
-        for b in self.basis:
-            for ej in amb.basis_vectors:
-                if not self.contains(amb._mul(b, ej)):
-                    return False
-        return True
+        eye = np.eye(amb.rank, dtype=np.int64)
+        prods = amb.mul_pairs(self.basis_array(), eye)
+        return bool(self.contains_many(prods).all())
 
     def is_subring(self):
-        if not self.contains(self.ambient.one):
-            return False
-        for a in self.basis:
-            for b in self.basis:
-                if not self.contains(self.ambient._mul(a, b)):
-                    return False
-        return True
+        B = self.basis_array()
+        prods = self.ambient.mul_pairs(B, B)
+        return bool(
+            self.contains(self.ambient.one) and self.contains_many(prods).all()
+        )
 
 
 class Ideal(Submodule):
@@ -187,34 +179,27 @@ class Subalgebra(Submodule):
 
 def subring_generated(ambient, gens):
     """Smallest unital subring containing the given elements."""
-    current = Subalgebra.from_generators(ambient, list(gens) + [ambient.one])
+    current = Subalgebra.from_generators(ambient, [*gens, ambient.one])
     while True:
-        basis = current.basis
-        extra = []
-        for i in range(len(basis)):
-            for j in range(i, len(basis)):
-                p = ambient._mul(basis[i], basis[j])
-                if not current.contains(p):
-                    extra.append(p)
-        if not extra:
+        B = current.basis_array()
+        prods = ambient.mul_pairs(B, B).reshape(-1, ambient.rank)
+        extra = prods[~current.contains_many(prods)]
+        if not len(extra):
             return current
-        current = Subalgebra.from_generators(ambient, list(basis) + extra)
+        current = Subalgebra.from_generators(ambient, np.vstack([B, extra]))
 
 
 def ideal_generated(ambient, gens):
     """Smallest ideal of the ambient ring containing the given elements."""
     current = Ideal.from_generators(ambient, gens)
+    eye = np.eye(ambient.rank, dtype=np.int64)
     while True:
-        basis = current.basis
-        extra = []
-        for b in basis:
-            for ej in ambient.basis_vectors:
-                p = ambient._mul(b, ej)
-                if not current.contains(p):
-                    extra.append(p)
-        if not extra:
+        B = current.basis_array()
+        prods = ambient.mul_pairs(B, eye).reshape(-1, ambient.rank)
+        extra = prods[~current.contains_many(prods)]
+        if not len(extra):
             return current
-        current = Ideal.from_generators(ambient, list(basis) + extra)
+        current = Ideal.from_generators(ambient, np.vstack([B, extra]))
 
 
 def conductor(sub):
@@ -225,7 +210,6 @@ def conductor(sub):
     """
     S = sub.ambient
     arr = S.elements_array()
-    mask = np.ones(S.size, dtype=bool)
-    for ej in S.basis_vectors:
-        mask &= sub.contains_many(S.mul_many(arr, ej))
+    prods = S.mul_pairs(arr, np.eye(S.rank, dtype=np.int64))
+    mask = sub.contains_many(prods).reshape(S.size, S.rank).all(axis=1)
     return Ideal.from_generators(S, arr[mask])

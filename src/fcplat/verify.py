@@ -19,6 +19,8 @@ Hasse edge has type in K".
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
+import numpy as np
+
 from .closures import (
     closure_report,
     is_x_closed,
@@ -48,7 +50,6 @@ from .structure import (
     maximal_ideals,
 )
 from .submodule import (
-    Ideal,
     Subalgebra,
     Submodule,
     ideal_generated,
@@ -164,8 +165,7 @@ class ExtContext:
 def to_ambient_subalgebra(pres, sub):
     """Carry a subalgebra of a re-presented node ring back into the ambient."""
     return Subalgebra.from_generators(
-        pres.to_ambient.target,
-        [pres.to_ambient.apply(b) for b in sub.basis],
+        pres.to_ambient.target, pres.to_ambient.apply_rows(sub.basis)
     )
 
 
@@ -430,7 +430,7 @@ def check_b51_unique_complement(ctx):
         ext = ctx.ext
         (M,) = maximal_ideals(ext.bottom_ring)
         to_amb = ext.bottom_pres.to_ambient
-        MS = ideal_generated(ext.top, [to_amb.apply(b) for b in M.basis])
+        MS = ideal_generated(ext.top, to_amb.apply_rows(M.basis))
         if any(MS == N for N in ctx.top_maximals):
             return False
         cs = ctx.co["co_subintegral"]
@@ -465,20 +465,17 @@ def check_b5103_t_closed_product(ctx):
     total = 1
     to_amb = ext.bottom_pres.to_ambient
     for M in ctx.supp:
-        MS = ideal_generated(S, [to_amb.apply(b) for b in M.basis])
+        MS = ideal_generated(S, to_amb.apply_rows(M.basis))
         Q, proj, _ = quotient_ring(S, MS.basis, label=f"{S.label}/MS")
-        img = Subalgebra.from_generators(
-            Q, [proj.apply(b) for b in ext.bottom.basis]
-        )
+        img = Subalgebra.from_generators(Q, proj.apply_rows(ext.bottom.basis))
         total *= len(enumerate_interval(Q, img))
     return total == ctx.lat.node_count()
 
 
 def _submodule_product(ring, A, B):
-    rows = [ring._mul(a, b) for a in A.basis for b in B.basis]
-    if not rows:
-        return Submodule.zero(ring)
-    return Submodule.from_generators(ring, rows)
+    return Submodule.from_generators(
+        ring, ring.mul_pairs(A.basis_array(), B.basis_array())
+    )
 
 
 def check_b5102_subintegral_chained(ctx):
@@ -500,10 +497,9 @@ def check_b5102_subintegral_chained(ctx):
         n += 1
         assert n <= Rr.size.bit_length() + 1
     to_amb = ext.bottom_pres.to_ambient
-    M_amb = Submodule.from_generators(S, [to_amb.apply(b) for b in M.basis])
+    M_amb = Submodule.from_generators(S, to_amb.apply_rows(M.basis))
     # hypothesis: R + S M^2 sits at the base of a chained upper interval
-    M2_rows = [S._mul(a, b) for a in M_amb.basis for b in M_amb.basis]
-    SM2 = ideal_generated(S, M2_rows) if M2_rows else Ideal.zero(S)
+    SM2 = ideal_generated(S, _submodule_product(S, M_amb, M_amb).basis)
     base = subring_generated(S, list(ext.bottom.basis) + list(SM2.basis))
     idxs = ctx.lat.interval(ctx.node(base), ctx.lat.top_node)
     ns = [ctx.lat.nodes[k] for k in idxs]
@@ -795,10 +791,11 @@ def check_coclosures_localize(ctx):
             return False
         if global_cc.exists:
             for cc, pres, e_amb in local_ccs:
+                prods = ext.top.mul_pairs(global_cc.node.basis, e_amb)
                 cut = Subalgebra.from_generators(
                     pres.ring,
-                    [pres.from_ambient(ext.top._mul(e_amb, b))
-                     for b in global_cc.node.basis] + [pres.ring.one],
+                    np.vstack([pres.from_ambient_rows(prods),
+                               [pres.ring.one]]),
                 )
                 if cut != cc.node:
                     return False

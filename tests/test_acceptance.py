@@ -27,6 +27,7 @@ from fcplat.structure import maximal_ideals
 from fcplat.submodule import subring_generated
 from fcplat.verify import run_suite, to_ambient_subalgebra
 from test_golden import DIGESTS as GOLDEN_DIGESTS, corpus_digests
+from test_ring import scalar_add, scalar_mul
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -58,13 +59,13 @@ def test_criterion_1_truncated_polynomial_counts():
             continue
         # named nodes for q=2: K, K' = K[y^3], K_a for a in K,
         # S = K[y^2, y^3], and T itself
-        y2 = T._mul(y, y)
-        y3 = T._mul(y2, y)
+        y2 = scalar_mul(T, y, y)
+        y3 = scalar_mul(T, y2, y)
         expected = {
             bottom.key,
             subring_generated(T, [y3]).key,
             subring_generated(T, [y2]).key,
-            subring_generated(T, [T._add(y2, y3)]).key,
+            subring_generated(T, [scalar_add(T, y2, y3)]).key,
             subring_generated(T, [y2, y3]).key,
             lat.top_node.key,
         }
@@ -93,10 +94,10 @@ def test_criterion_2_two_branch_fixture():
     # e of R x R, with g the nilpotent generator of the bottom
     g = next(
         v for v in bottom.elements()
-        if any(v) and S._mul(v, v) == S.zero_vec()
+        if any(v) and scalar_mul(S, v, v) == S.zero_vec()
     )
-    idems = [v for v in u.elements() if S._mul(v, v) == v]
-    r_plus_mxm = subring_generated(S, [S._mul(g, e) for e in idems])
+    idems = [v for v in u.elements() if scalar_mul(S, v, v) == v]
+    r_plus_mxm = subring_generated(S, [scalar_mul(S, g, e) for e in idems])
     assert r_plus_mxm == plus_in_u
     assert r_plus_mxm.size == 8
 

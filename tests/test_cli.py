@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -6,7 +9,8 @@ import pytest
 
 from fcplat.cli import build_parser, main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 B5101 = str(FIXTURES / "b5101_q2.json")
 R1317 = str(FIXTURES / "remark_1317.json")
 
@@ -143,6 +147,27 @@ def test_spec_commands_reject_oversize_top_by_default(capsys, tmp_path):
         assert main([cmd, str(spec)]) == 2
         assert "exceeds cap 4096" in capsys.readouterr().err
     assert time.monotonic() - start < 10
+
+
+@pytest.mark.parametrize("construction", [
+    # building F_(2^30) first searches about 2^29 candidate polynomials
+    {"name": "F", "op": "galois_field", "args": {"q": 2**30}},
+    # a prime near 10^18 is trial-divided up to 10^9 before it is built
+    {"name": "F", "op": "prime_field", "args": {"p": 10**18 + 9}},
+])
+def test_oversize_field_is_refused_before_it_is_built(tmp_path, construction):
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({
+        "constructions": [construction],
+        "extension": {"top": "F", "bottom": {"generated_by": []}},
+    }))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fcplat.cli", "lattice", str(spec)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert "exceeds cap 4096" in proc.stderr
 
 
 def test_env_max_nodes(capsys, monkeypatch):

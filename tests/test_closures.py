@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from fcplat.closures import (
+    _min_poly,
     _solve_lin_comb,
     is_seminormal,
     is_t_closed,
@@ -10,6 +11,7 @@ from fcplat.closures import (
     kappa_radicial_closure,
     kappa_separable_closure,
     omega_closure,
+    primitive_min_poly,
     radicial_closure,
     seminormalization,
     t_closure,
@@ -22,6 +24,7 @@ from fcplat.lattice import ExtensionLattice
 from fcplat.ring import galois_field, monogenic_quotient, prime_field, product_ring
 from fcplat.spectrum import Extension
 from fcplat.submodule import subring_generated
+from test_ring import scalar_add, scalar_mul, scalar_pow
 
 
 def prime_ext(S):
@@ -138,7 +141,7 @@ def brute_lin_comb(phi, basis_powers, target):
     for combo in itertools.product(k.elements(), repeat=len(basis_powers)):
         acc = K.zero_vec()
         for c, b in zip(combo, basis_powers):
-            acc = K._add(acc, K._mul(phi.apply(c), b))
+            acc = scalar_add(K, acc, scalar_mul(K, phi.apply(c), b))
         if acc == target:
             return list(combo)
     return None
@@ -148,7 +151,7 @@ def field_inclusion(q, sub_q):
     """F_sub_q <= F_q as a residual extension."""
     K = galois_field(q)
     sub = subring_generated(
-        K, [v for v in K.elements() if K._pow(v, sub_q) == v]
+        K, [v for v in K.elements() if scalar_pow(K, v, sub_q) == v]
     )
     assert sub.size == sub_q
     (phi,) = Extension(K, sub).residual_extensions()
@@ -169,4 +172,19 @@ def test_lin_comb_solve_matches_brute_force(q, sub_q):
             assert sol == brute_lin_comb(*args)
             if sol is not None:
                 break
-            powers.append(K._mul(powers[-1], v))
+            powers.append(scalar_mul(K, powers[-1], v))
+
+
+@pytest.mark.parametrize(
+    "q, sub_q", [(4, 2), (8, 2), (16, 2), (16, 4), (9, 3), (27, 3), (64, 8)]
+)
+def test_primitive_element_is_the_first_generator(q, sub_q):
+    # the subfield test by powers picks the element that subring
+    # generation, element by element in lexicographic order, picks first
+    phi = field_inclusion(q, sub_q)
+    K = phi.target
+    first = next(
+        v for v in K.elements()
+        if subring_generated(K, [v, *phi.rows]).size == K.size
+    )
+    assert primitive_min_poly(phi).tolist() == _min_poly(phi, first).tolist()

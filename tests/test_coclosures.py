@@ -13,6 +13,7 @@ from fcplat.ring import (
 )
 from fcplat.spectrum import Extension
 from fcplat.submodule import subring_generated
+from test_ring import scalar_mul
 
 
 def prime_ext(S):
@@ -30,7 +31,7 @@ def two_branch_extension():
     R, _, t = monogenic_quotient(F2, 2, [F2.zero_vec(), F2.zero_vec()])
     RX, embed, x = monogenic_quotient(R, 2, [R.zero_vec(), R.zero_vec()])
     t_up = embed.apply(t)
-    Rx, proj, _ = quotient_ring(RX, [RX._mul(t_up, x)], label="R[x]")
+    Rx, proj, _ = quotient_ring(RX, [scalar_mul(RX, t_up, x)], label="R[x]")
     assert Rx.size == 8
     S, pack = product_ring([R, Rx])
     t_in_Rx = proj.apply(t_up)

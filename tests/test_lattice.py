@@ -5,6 +5,7 @@ from fcplat.minimal import classify_minimal, edge_labels
 from fcplat.ring import galois_field, monogenic_quotient, prime_field, product_ring
 from fcplat.spectrum import Extension
 from fcplat.submodule import subring_generated
+from test_ring import scalar_mul
 
 
 def prime_ext(S):
@@ -63,7 +64,7 @@ def test_minimal_ramified_dual_numbers():
     assert c.kind == "ramified"
     assert c.residual_degree == 2
     assert c.witness is not None
-    assert R._mul(c.witness, c.witness) == R.zero_vec()
+    assert scalar_mul(R, c.witness, c.witness) == R.zero_vec()
 
 
 def test_minimal_decomposed_f3_squared():
@@ -72,7 +73,7 @@ def test_minimal_decomposed_f3_squared():
     c = classify_minimal(prime_ext(S))
     assert c.kind == "decomposed"
     w = c.witness
-    assert S._mul(w, w) == w
+    assert scalar_mul(S, w, w) == w
 
 
 def test_minimal_inert_f25():

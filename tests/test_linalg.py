@@ -7,16 +7,17 @@ exhaustively and compared against the Howell / Smith machinery.
 import itertools
 import random
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from fcplat.linalg import (
     howell_contains,
     howell_form,
     kernel_mod,
-    scale_vector,
+    scale_rows,
     smith_presentation,
     span_size,
-    unscale_vector,
+    unscale_rows,
 )
 
 
@@ -33,6 +34,11 @@ def brute_span(rows, n, L):
     return seen
 
 
+def contains_each(vectors, h, n, L):
+    """howell_contains on the vectors as one batch: one verdict per vector."""
+    return howell_contains(np.array(vectors).reshape(-1, n), h, L)[0]
+
+
 def random_rows(rng, n, L, k):
     return [tuple(rng.randrange(L) for _ in range(n)) for _ in range(k)]
 
@@ -46,11 +52,9 @@ def test_howell_matches_brute_span():
         h = howell_form(rows, n, L)
         span = brute_span(rows, n, L)
         assert span_size(h, L) == len(span)
-        for v in span:
-            assert howell_contains(v, h, n, L)
+        assert contains_each(sorted(span), h, n, L).all()
         outside = [v for v in itertools.product(range(L), repeat=n) if v not in span]
-        for v in outside[:20]:
-            assert not howell_contains(v, h, n, L)
+        assert not contains_each(outside[:20], h, n, L).any()
 
 
 def test_howell_is_canonical_under_generator_changes():
@@ -84,9 +88,9 @@ def test_scaling_roundtrip():
     orders = (12, 6, 2)
     L = 12
     vec = (7, 5, 1)
-    s = scale_vector(vec, orders, L)
+    s = tuple(scale_rows([vec], orders, L)[0].tolist())
     assert s == (7, 10, 6)
-    assert unscale_vector(s, orders, L) == vec
+    assert tuple(unscale_rows([s], orders, L)[0].tolist()) == vec
 
 
 def test_kernel_matches_brute_force():
@@ -105,8 +109,7 @@ def test_kernel_matches_brute_force():
             if not any(img):
                 brute.add(a)
         assert span_size(ker, L) == len(brute)
-        for a in brute:
-            assert howell_contains(a, ker, k, L)
+        assert contains_each(sorted(brute), ker, k, L).all()
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,14 +24,59 @@ from fcplat.structure import nilradical
 from fcplat.submodule import subring_generated
 
 
+# -- scalar reference arithmetic on coefficient tuples --------------------
+#
+# The package multiplies only through its batched int64 kernel.  These
+# loops over the structure constants are the independent reference that
+# the kernel tests below, and element-level assertions in other test
+# modules, compare against.
+
+
+def scalar_add(R, a, b):
+    return tuple((x + y) % d for x, y, d in zip(a, b, R.orders))
+
+
+def scalar_neg(R, a):
+    return tuple((-x) % d for x, d in zip(a, R.orders))
+
+
+def scalar_mul(R, a, b):
+    n = R.rank
+    acc = [0] * n
+    table = R.table
+    for i in range(n):
+        ai = a[i]
+        if ai:
+            row = table[i]
+            for j in range(n):
+                bj = b[j]
+                if bj:
+                    c = ai * bj
+                    cell = row[j]
+                    for k in range(n):
+                        acc[k] += c * cell[k]
+    return tuple(int(x) % d for x, d in zip(acc, R.orders))
+
+
+def scalar_pow(R, a, e):
+    result = R.one
+    base = a
+    while e:
+        if e & 1:
+            result = scalar_mul(R, result, base)
+        base = scalar_mul(R, base, base)
+        e >>= 1
+    return result
+
+
 def check_ring_axioms(R):
     els = list(R.elements())
     if len(els) > 30:
         els = els[:15] + els[-15:]
-    mul, add = R._mul, R._add
+    mul, add = partial(scalar_mul, R), partial(scalar_add, R)
     for a in els:
         assert mul(a, R.one) == a
-        assert add(a, R._neg(a)) == R.zero_vec()
+        assert add(a, scalar_neg(R, a)) == R.zero_vec()
     for a, b in itertools.product(els[:12], repeat=2):
         assert mul(a, b) == mul(b, a)
         assert add(a, b) == add(b, a)
@@ -44,8 +90,8 @@ def test_prime_field():
     assert F5.size == 5
     assert F5.char == 5
     check_ring_axioms(F5)
-    assert F5._mul((2,), (2,)) == (4,)
-    assert F5._pow((2,), 4) == (1,)
+    assert scalar_mul(F5, (2,), (2,)) == (4,)
+    assert scalar_pow(F5, (2,), 4) == (1,)
 
 
 def test_prime_field_rejects_composite():
@@ -69,13 +115,13 @@ def test_galois_fields():
         # every nonzero element is invertible with x^(q-1) = 1
         for v in F.elements():
             if any(v):
-                assert F._pow(v, q - 1) == F.one
+                assert scalar_pow(F, v, q - 1) == F.one
 
 
 def test_z4_style_ring():
     R = FiniteRing((4,), (((1,),),), (1,), label="Z4")
     assert R.char == 4
-    assert R._mul((2,), (2,)) == R.zero_vec()
+    assert scalar_mul(R, (2,), (2,)) == R.zero_vec()
     assert nilradical(R).contains((2,))
 
 
@@ -86,11 +132,11 @@ def test_dual_numbers_over_f2():
     )
     assert R.size == 4
     check_ring_axioms(R)
-    assert R._mul(t, t) == R.zero_vec()
+    assert scalar_mul(R, t, t) == R.zero_vec()
     assert nilradical(R).contains(t)
     assert embed.is_injective()
     assert not embed.is_surjective()
-    assert not nilradical(R).contains(R._add(R.one, t))
+    assert not nilradical(R).contains(scalar_add(R, R.one, t))
 
 
 def test_monogenic_matches_galois_field():
@@ -98,10 +144,10 @@ def test_monogenic_matches_galois_field():
     F2 = prime_field(2)
     R, _, x = monogenic_quotient(F2, 2, [F2.one, F2.one])
     assert R.size == 4
-    assert R._mul(x, x) == R._add(x, R.one)
+    assert scalar_mul(R, x, x) == scalar_add(R, x, R.one)
     for v in R.elements():
         if any(v):
-            assert R._pow(v, 3) == R.one
+            assert scalar_pow(R, v, 3) == R.one
 
 
 def test_product_ring():
@@ -113,10 +159,10 @@ def test_product_ring():
     check_ring_axioms(R)
     e1 = pack([(1,), (0,)])
     e2 = pack([(0,), (1,)])
-    assert R._mul(e1, e1) == e1
-    assert R._mul(e2, e2) == e2
-    assert R._mul(e1, e2) == R.zero_vec()
-    assert R._add(e1, e2) == R.one
+    assert scalar_mul(R, e1, e1) == e1
+    assert scalar_mul(R, e2, e2) == e2
+    assert scalar_mul(R, e1, e2) == R.zero_vec()
+    assert scalar_add(R, e1, e2) == R.one
 
 
 def test_quotient_ring():
@@ -178,12 +224,32 @@ def test_morphism_validation_catches_bad_map():
         RingMorphism(F2, F4, bad)
 
 
+def test_int64_kernel_bound_refuses_larger_rings():
+    # rank * L^2 must stay below 2^63: 3037000507 is the least prime past it
+    p = 3037000507
+    assert p * p >= 2**63
+    with pytest.raises(RingConstructionError, match="2\\^63"):
+        prime_field(p)
+
+
+def test_int64_kernel_exact_at_the_largest_prime_below_the_bound():
+    p = 3037000493
+    assert p * p < 2**63 <= 3037000500**2
+    for c in range(p + 1, 3037000500):
+        with pytest.raises(ValueError, match="must be prime"):
+            prime_field(c)
+    F = prime_field(p)
+    assert F.mul_rows([[p - 1]], [[p - 1]]).tolist() == [[1]]
+    assert F.mul_pairs([[p - 1]], [[p - 1]]).tolist() == [[[1]]]
+    assert scalar_mul(F, (p - 1,), (p - 1,)) == (1,)
+
+
 def test_zero_ring_rejected():
     with pytest.raises(RingConstructionError):
         FiniteRing((), (), (), label="0")
 
 
-# -- the batched multiplication kernel against the scalar _mul loop ------
+# -- the batched multiplication kernel against the scalar reference ------
 
 
 def _kernel_rings():
@@ -224,7 +290,7 @@ def _rows(draw, R, count):
 
 
 def _scalar(R, a, b):
-    return R._mul(tuple(int(x) for x in a), tuple(int(x) for x in b))
+    return scalar_mul(R, tuple(int(x) for x in a), tuple(int(x) for x in b))
 
 
 @settings(max_examples=25, deadline=None)
@@ -243,7 +309,7 @@ def test_mul_rows_matches_scalar_mul(data):
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
-def test_mul_pairs_and_mul_many_match_scalar_mul(data):
+def test_mul_pairs_and_mul_rows_match_scalar_mul(data):
     name = data.draw(st.sampled_from(sorted(KERNEL_RINGS)))
     R = KERNEL_RINGS[name]
     X = _rows(data.draw, R, data.draw(st.integers(1, 4)))
@@ -254,7 +320,8 @@ def test_mul_pairs_and_mul_many_match_scalar_mul(data):
     for a, b in itertools.product(range(len(X)), range(len(Y))):
         assert tuple(got[a, b].tolist()) == _scalar(R, X[a], Y[b])
     for b in range(len(Y)):
-        assert np.array_equal(R.mul_many(X, Y[b]), got[:, b])
+        column = np.repeat(Y[b:b + 1], len(X), axis=0)
+        assert np.array_equal(R.mul_rows(X, column), got[:, b])
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_RINGS))

@@ -2,7 +2,8 @@
 
 The tracer wraps fcplat functions by name; a renamed or removed function
 makes `Tracer.install` raise.  This test installs it, runs one command
-through the spans, and checks that `uninstall` restores every original.
+through the spans, checks that the traced membership and subring layers
+are reached, and that `uninstall` restores every original.
 """
 
 import importlib
@@ -50,4 +51,7 @@ def test_tracer_installs_and_uninstalls(capsys):
     capsys.readouterr()
     assert tracer.calls["coclosures.co_closure"] == 2
     assert tracer.calls["lattice.ExtensionLattice.sub_extension"] > 0
+    # a kept traced name must stay on the hot path, not read 0 as an alias
+    assert tracer.calls["linalg.howell_contains"] > 0
+    assert tracer.calls["submodule.subring_generated"] > 0
     assert bindings(spans) == before

@@ -17,6 +17,7 @@ from fcplat.structure import (
     residue_field,
 )
 from fcplat.submodule import Subalgebra, conductor, subring_generated
+from test_ring import scalar_mul
 
 
 def dual_numbers(q=2):
@@ -69,7 +70,7 @@ def test_product_structure():
     assert sorted(f.ring.size for _, f in facts) == [2, 4]
     for e, pres in facts:
         assert not pres.to_ambient.unital
-        assert pres.ring._mul(pres.ring.one, pres.ring.one) == pres.ring.one
+        assert scalar_mul(pres.ring, pres.ring.one, pres.ring.one) == pres.ring.one
 
 
 def test_product_of_three():

@@ -14,10 +14,22 @@ from hypothesis import given, settings, strategies as st
 
 from fcplat.corpus import CorpusConfig, generate_corpus
 from fcplat.lattice import ExtensionLattice
-from fcplat.ring import FiniteRing
+from fcplat.ring import (
+    FiniteRing,
+    galois_field,
+    monogenic_quotient,
+    prime_field,
+    product_ring,
+    ring_from_generators,
+)
 from fcplat.specfile import parse_spec
-from fcplat.structure import max_ideal_idempotent_pairs, maximal_ideals
-from fcplat.submodule import Ideal, Subalgebra, Submodule
+from fcplat.structure import (
+    idempotents,
+    max_ideal_idempotent_pairs,
+    maximal_ideals,
+)
+from fcplat.submodule import Ideal, Subalgebra, Submodule, subring_generated
+from test_ring import scalar_mul
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MIXED_ORDERS = ((8, 4, 2), (12, 6), (9, 3))
@@ -91,6 +103,76 @@ def test_from_generators_accepts_an_int_array():
     assert Submodule.from_generators(ring, empty) == Submodule.zero(ring)
 
 
+# -- span enumeration, batched membership and subring coordinates -----------
+
+
+def _small_rings():
+    F2 = prime_field(2)
+    Z4 = FiniteRing((4,), (((1,),),), (1,), label="Z4")
+    cube, _, _ = monogenic_quotient(F2, 3, [(0,)] * 3)
+    twisted, _, _ = monogenic_quotient(Z4, 2, [(0,), (2,)])
+    dual, _, _ = monogenic_quotient(F2, 2, [(0,), (0,)])
+    return [
+        cube,
+        product_ring([twisted, F2])[0],
+        product_ring([galois_field(4), dual])[0],
+        FiniteRing((9,), (((1,),),), (1,), label="Z9"),
+        *RINGS.values(),
+    ]
+
+
+SMALL_RINGS = _small_rings()
+
+
+def check_span(sub):
+    """elements_array lists the span once, sorted, and is what
+    contains_many picks out of the ambient's elements."""
+    arr = sub.elements_array()
+    rows = [tuple(r) for r in arr.tolist()]
+    assert len(arr) == sub.size
+    assert rows == sorted(set(rows))
+    whole = sub.ambient.elements_array()
+    assert whole[sub.contains_many(whole)].tolist() == arr.tolist()
+    assert sub.elements() == frozenset(rows)
+
+
+def check_presentation(pres, span):
+    """from_ambient inverts to_ambient on the span and refuses the rest."""
+    to_amb = pres.to_ambient
+    for v in span.elements_array().tolist():
+        assert to_amb.apply(pres.from_ambient(v)) == tuple(v)
+    outside = ~span.contains_many(span.ambient.elements_array())
+    for v in span.ambient.elements_array()[outside][:5].tolist():
+        with pytest.raises(ValueError):
+            pres.from_ambient(v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_spans_membership_and_coordinates(data):
+    ring = data.draw(st.sampled_from(SMALL_RINGS))
+    element = st.tuples(*[st.integers(0, d - 1) for d in ring.orders])
+    gens = data.draw(st.lists(element, max_size=3))
+    check_span(data.draw(subgroups(ring)))
+    check_span(Submodule.from_generators(ring, gens))
+
+    # the subring the gens generate, presented over the gens themselves,
+    # its Howell basis and 1: redundant rows that are no Howell form
+    sub = subring_generated(ring, gens)
+    check_span(sub)
+    pres = ring_from_generators(ring, [*gens, *sub.basis, ring.one], ring.one)
+    assert pres.ring.size == sub.size
+    check_presentation(pres, sub)
+
+    # a factor e*R over the rows e*e_j, as local_factors passes them
+    e = data.draw(st.sampled_from([e for e in idempotents(ring) if any(e)]))
+    rows = ring.mul_pairs(np.eye(ring.rank, dtype=np.int64), e)[:, 0]
+    pres = ring_from_generators(ring, rows, e, unital=False)
+    factor = Submodule.from_generators(ring, rows)
+    assert pres.ring.size == factor.size
+    check_presentation(pres, factor)
+
+
 # -- extension-level operations against element-set formulas ---------------
 
 
@@ -108,8 +190,8 @@ def msupp_quotient_by_elements(ext, lower, upper):
     out = []
     for e, M in max_ideal_idempotent_pairs(ext.bottom_ring):
         e_amb = to_amb.apply(e)
-        lo = {top._mul(e_amb, v) for v in lower.elements()}
-        up = {top._mul(e_amb, v) for v in upper.elements()}
+        lo = {scalar_mul(top, e_amb, v) for v in lower.elements()}
+        up = {scalar_mul(top, e_amb, v) for v in upper.elements()}
         if lo != up:
             out.append(M)
     return out
