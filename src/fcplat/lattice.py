@@ -222,14 +222,10 @@ class ExtensionLattice:
         return self.nodes[good[-1]]
 
     def join(self, a, b):
-        """The subring a and b generate, kept per pair: complement counts
-        join the same pairs for many intervals."""
-        cache = self._cache.setdefault("join", {})
-        if (a.key, b.key) not in cache:
-            cache[a.key, b.key] = subring_generated(
-                self.ambient, [*a.basis, *b.basis]
-            )
-        return cache[a.key, b.key]
+        """The least node above the nodes a and b; nodes are sorted by
+        size, so it is the first of their common upper bounds."""
+        leq = self.leq()
+        return self.nodes[min(leq[self.index[a.key]] & leq[self.index[b.key]])]
 
     def complements(self, T, low=None, high=None):
         """Nodes U in [low, high] with T cap U = low and T join U = high."""

@@ -132,18 +132,12 @@ def howell_contains(V, hrows, L):
         return ~V.any(axis=1), V
     H = np.array(hrows, dtype=np.int64)
     cols = (H != 0).argmax(axis=1)
-    P = H[:, cols]  # upper triangular, the pivots on its diagonal
-    pivots = P.diagonal()
-    if np.count_nonzero(P) == len(P):
-        # no entry above a pivot: every multiple is read off at once
-        V -= (V[:, cols] // pivots) @ H
+    pivots = H[np.arange(len(H)), cols]
+    # a pivot divides L, and a row whose entry it does not divide stays
+    # nonzero in that column, since every later basis row is zero there
+    for row, j, p in zip(H, cols.tolist(), pivots.tolist()):
+        V -= (V[:, j] // p)[:, None] * row
         V %= L
-    else:
-        # a pivot divides L, and a row whose entry it does not divide stays
-        # nonzero in that column, since every later basis row is zero there
-        for row, j, p in zip(H, cols.tolist(), pivots.tolist()):
-            V -= (V[:, j] // p)[:, None] * row
-            V %= L
     return ~V.any(axis=1), V
 
 
