@@ -78,7 +78,7 @@ def x_closure(ext, kind):
         extra = witnessed_elements(top, B, kind)
         if not extra:
             return B
-        B = subring_generated(top, list(B.basis) + extra)
+        B = subring_generated(top, extra, over=B)
 
 
 def seminormalization(ext):
@@ -132,7 +132,7 @@ def x_integral_hull(lattice, kind):
     while frontier:
         B = frontier.pop()
         for b in witnessed_elements(top, B, kind):
-            U = subring_generated(top, list(B.basis) + [b])
+            U = subring_generated(top, [b], over=B)
             if U.key not in reached:
                 reached.add(U.key)
                 frontier.append(lattice.nodes[lattice.index[U.key]])

@@ -69,12 +69,12 @@ def _random_factor(rng, cap):
 
 
 def _random_bottom(rng, S, big):
-    elems = list(S.elements())
     mode = rng.choice(("prime", "gen1", "gen1", "gen2")) if not big else (
         rng.choice(("gen1", "gen2", "gen2"))
     )
     if mode == "prime":
         return subring_generated(S, []), "prime"
+    elems = list(S.elements())
     gens = [rng.choice(elems) for _ in range(1 if mode == "gen1" else 2)]
     return subring_generated(S, gens), mode
 

@@ -1,9 +1,9 @@
 """Exhaustive enumeration of the lattice [R, S] of intermediate subalgebras.
 
 Finite extensions here always have finitely many intermediate rings, so the
-lattice is built by breadth-first closure: adjoin one representative of each
-additive coset to every known node and close under multiplication.  Nodes
-are kept in a deterministic order (size, then canonical key).
+lattice is built by breadth-first closure: adjoin one representative x of
+each additive coset to every known node T, T[x] being one Howell form of the
+span of T x^k.  Nodes are kept in order of size, then canonical key.
 """
 
 import os
@@ -60,7 +60,7 @@ def enumerate_interval(ambient, bottom, max_nodes=None):
             if covered[i]:
                 break
             x = top_elems[i]
-            U = subring_generated(ambient, [*T.basis, x])
+            U = subring_generated(ambient, [x], over=T)
             covered[((x + T_elems) % ambient.np_orders) @ radix] = True
             if U.key not in seen:
                 if len(seen) >= max_nodes:
@@ -245,9 +245,7 @@ class ExtensionLattice:
         if ck not in cache:
             pres = high.as_ring()
             bot = Subalgebra.from_generators(
-                pres.ring,
-                np.vstack([pres.from_ambient_rows(low.basis),
-                           [pres.ring.one]]),
+                pres.ring, pres.from_ambient_rows(low.basis)
             )
             cache[ck] = (Extension(pres.ring, bot), pres)
         return cache[ck]

@@ -15,7 +15,7 @@ span (`submodule.Submodule`).
 """
 
 import itertools
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -374,17 +374,14 @@ def galois_field(q):
 
 
 def _prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ValueError("q must be a prime power")
-            return p, k
-    raise ValueError("q must be a prime power")
+    # the least divisor p > 1 of q is prime, and p <= sqrt(q) unless p = q
+    p = next((d for d in range(2, isqrt(max(q, 0)) + 1) if q % d == 0), q)
+    m, k = q, 0
+    while p > 1 and m % p == 0:
+        m, k = m // p, k + 1
+    if m != 1 or k == 0:
+        raise ValueError("q must be a prime power")
+    return p, k
 
 
 def monogenic_quotient(R, m, red, label=None):

@@ -2,11 +2,11 @@
 
 A Submodule is canonicalized by the Howell form of its generators inside
 (Z/L)^n after coordinate scaling, so equal subsets always compare equal and
-hash alike.  Sums and intersections are Howell forms too.  Membership is one
-batched Howell reduction (`contains_many`), and subring and ideal
-generation test a whole round of basis products with it at once.  The
-members of a span are enumerated only where a caller needs them, once, by a
-mixed-radix walk of the Howell basis into the sorted `elements_array`.
+hash alike.  Sums, intersections, generated ideals and each adjunction of
+an element to a subring are one Howell form; membership is one batched
+Howell reduction (`contains_many`).  The members of a span are enumerated
+only where a caller needs them, once, by a mixed-radix walk of the Howell
+basis into the sorted `elements_array`.
 """
 
 import numpy as np
@@ -177,29 +177,34 @@ class Subalgebra(Submodule):
         return self._cache["as_ring"]
 
 
-def subring_generated(ambient, gens):
-    """Smallest unital subring containing the given elements."""
-    current = Subalgebra.from_generators(ambient, [*gens, ambient.one])
-    while True:
-        B = current.basis_array()
-        prods = ambient.mul_pairs(B, B).reshape(-1, ambient.rank)
-        extra = prods[~current.contains_many(prods)]
-        if not len(extra):
-            return current
-        current = Subalgebra.from_generators(ambient, np.vstack([B, extra]))
+def subring_generated(ambient, gens, over=None):
+    """Smallest unital subring containing the gens and the subring `over`
+    (span{1} by default).  Each gen x is adjoined as T[x] = sum_k T x^k: the
+    chain M_(j+1) = M_j + M_j x stops at its first repeat and doubles at each
+    strict step, so the T x^k with k <= log2(|S| / |T|) span it."""
+    T = over
+    if T is None:
+        T = Subalgebra.from_generators(ambient, [ambient.one])
+    rest = np.asarray(gens, dtype=np.int64).reshape(-1, ambient.rank)
+    while len(rest):
+        x, rest = rest[0], rest[1:]
+        powers = [x]
+        for _ in range((ambient.size // T.size).bit_length() - 2):
+            powers.append(ambient.mul_pairs(powers[-1], x)[0, 0])
+        B = T.basis_array()
+        prods = ambient.mul_pairs(B, powers).reshape(-1, ambient.rank)
+        T = Subalgebra.from_generators(ambient, np.vstack([B, prods]))
+        if len(rest):
+            rest = rest[~T.contains_many(rest)]
+    return T
 
 
 def ideal_generated(ambient, gens):
-    """Smallest ideal of the ambient ring containing the given elements."""
-    current = Ideal.from_generators(ambient, gens)
+    """Smallest ideal of the ambient ring containing the given elements:
+    sum_g S g, spanned by the products g e_j with the additive basis."""
     eye = np.eye(ambient.rank, dtype=np.int64)
-    while True:
-        B = current.basis_array()
-        prods = ambient.mul_pairs(B, eye).reshape(-1, ambient.rank)
-        extra = prods[~current.contains_many(prods)]
-        if not len(extra):
-            return current
-        current = Ideal.from_generators(ambient, np.vstack([B, extra]))
+    prods = ambient.mul_pairs(gens, eye).reshape(-1, ambient.rank)
+    return Ideal.from_generators(ambient, prods)
 
 
 def conductor(sub):

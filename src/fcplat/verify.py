@@ -500,7 +500,7 @@ def check_b5102_subintegral_chained(ctx):
     M_amb = Submodule.from_generators(S, to_amb.apply_rows(M.basis))
     # hypothesis: R + S M^2 sits at the base of a chained upper interval
     SM2 = ideal_generated(S, _submodule_product(S, M_amb, M_amb).basis)
-    base = subring_generated(S, list(ext.bottom.basis) + list(SM2.basis))
+    base = subring_generated(S, SM2.basis, over=ext.bottom)
     idxs = ctx.lat.interval(ctx.node(base), ctx.lat.top_node)
     ns = [ctx.lat.nodes[k] for k in idxs]
     upper_chained = all(ns[i] <= ns[i + 1] for i in range(len(ns) - 1))

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +120,29 @@ def test_galois_fields():
         for v in F.elements():
             if any(v):
                 assert scalar_pow(F, v, q - 1) == F.one
+
+
+def test_galois_field_of_a_large_prime_is_the_prime_field():
+    # the prime-power split stops trial division at sqrt(q), as prime_field
+    # does; dividing up to q itself would not return for q near 10^9
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "from fcplat.ring import galois_field\n"
+        "F = galois_field(1000000007)\n"
+        "print(F.label, F.orders, F.rank)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["F1000000007", "(1000000007,)", "1"]
+
+
+def test_galois_field_rejects_non_prime_powers():
+    for q in (-3, 0, 1, 6, 12, 1000000007 * 2):
+        with pytest.raises(ValueError):
+            galois_field(q)
 
 
 def test_z4_style_ring():

@@ -3,7 +3,9 @@
 The tracer wraps fcplat functions by name; a renamed or removed function
 makes `Tracer.install` raise.  This test installs it, runs one command
 through the spans, checks that the traced membership and subring layers
-are reached, and that `uninstall` restores every original.
+are reached, and that `uninstall` restores every original.  A lattice run
+must feed the enumeration counters, or the benchmark's useful_ratio would
+read 0 on working code.
 """
 
 import importlib
@@ -55,3 +57,21 @@ def test_tracer_installs_and_uninstalls(capsys):
     assert tracer.calls["linalg.howell_contains"] > 0
     assert tracer.calls["submodule.subring_generated"] > 0
     assert bindings(spans) == before
+
+
+def test_lattice_run_feeds_the_enumeration_counters(capsys):
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["lattice", B5101]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.calls["lattice.enumerate_interval"] > 0
+    assert tracer.counts["enumerate.subring_calls"] > 0
+    metrics = spans.layer_metrics(tracer.snapshot())
+    nodes, _ = metrics["lattice.enumerate_interval.nodes"]
+    ratio, _ = metrics["lattice.enumerate_interval.useful_ratio"]
+    assert nodes > 0
+    assert ratio > 0

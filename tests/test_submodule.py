@@ -28,8 +28,14 @@ from fcplat.structure import (
     max_ideal_idempotent_pairs,
     maximal_ideals,
 )
-from fcplat.submodule import Ideal, Subalgebra, Submodule, subring_generated
-from test_ring import scalar_mul
+from fcplat.submodule import (
+    Ideal,
+    Subalgebra,
+    Submodule,
+    ideal_generated,
+    subring_generated,
+)
+from test_ring import scalar_add, scalar_mul
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MIXED_ORDERS = ((8, 4, 2), (12, 6), (9, 3))
@@ -171,6 +177,78 @@ def test_spans_membership_and_coordinates(data):
     factor = Submodule.from_generators(ring, rows)
     assert pres.ring.size == factor.size
     check_presentation(pres, factor)
+
+
+# -- generated subrings and ideals against two references ------------------
+
+
+def subring_by_rounds(ambient, gens):
+    """The round loop that subring generation used before adjunction by a
+    Krylov span: add every basis product outside the span, until a round
+    adds none.  Kept as the batched reference for `subring_generated`."""
+    current = Subalgebra.from_generators(ambient, [*gens, ambient.one])
+    while True:
+        B = current.basis_array()
+        prods = ambient.mul_pairs(B, B).reshape(-1, ambient.rank)
+        extra = prods[~current.contains_many(prods)]
+        if not len(extra):
+            return current
+        current = Subalgebra.from_generators(ambient, np.vstack([B, extra]))
+
+
+def closure_by_elements(ring, seeds, ops):
+    """The least set holding the seeds and closed under the binary ops,
+    grown pair by pair with the scalar reference arithmetic."""
+    found = set(seeds)
+    frontier = list(found)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for b in list(found):
+                for op in ops:
+                    c = op(ring, a, b)
+                    if c not in found:
+                        new.add(c)
+        found |= new
+        frontier = list(new)
+    return frozenset(found)
+
+
+RINGS_UP_TO_64 = [ring for ring in SMALL_RINGS if ring.size <= 64]
+
+
+def elements_of(ring):
+    return st.tuples(*[st.integers(0, d - 1) for d in ring.orders])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_subring_over_a_subring_matches_references(data):
+    ring = data.draw(st.sampled_from(RINGS_UP_TO_64))
+    element = elements_of(ring)
+    T = subring_generated(ring, data.draw(st.lists(element, max_size=2)))
+    gens = data.draw(st.lists(element, max_size=3))
+
+    over = subring_generated(ring, gens, over=T)
+    assert type(over) is Subalgebra
+    assert over == subring_generated(ring, [*T.basis, *gens])
+    assert over == subring_by_rounds(ring, [*T.basis, *gens])
+    seeds = {ring.zero_vec(), ring.one, *T.elements(), *gens}
+    want = closure_by_elements(ring, seeds, (scalar_add, scalar_mul))
+    assert over.elements() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ideal_generated_is_the_element_set_ideal(data):
+    ring = data.draw(st.sampled_from(RINGS_UP_TO_64))
+    gens = data.draw(st.lists(elements_of(ring), max_size=3))
+    ideal = ideal_generated(ring, gens)
+    assert type(ideal) is Ideal
+    assert ideal.is_ideal()
+    products = {scalar_mul(ring, s, g) for s in ring.elements() for g in gens}
+    want = closure_by_elements(ring, {ring.zero_vec(), *products}, (scalar_add,))
+    assert ideal.elements() == want
 
 
 # -- extension-level operations against element-set formulas ---------------
