@@ -13,12 +13,13 @@ Commands::
 
 Every command prints one canonical JSON document to stdout; --json writes
 the same bytes to a file, --dot writes the Hasse diagram in DOT format.
---max-size caps the size of every ring built (default 4096); it must be at
-least 2 for the spec commands and at least 4, the smallest top of a proper
-extension, for verify and corpus.  The node budget for lattice enumeration
-honours FCPLAT_MAX_NODES.
+--max-size caps constructed ring sizes (default 4096); it must be at least
+2 for the spec commands and at least 4, the smallest top of a proper
+extension, for verify and corpus; --count must be at least 1.  The node
+budget for lattice enumeration honours FCPLAT_MAX_NODES (at least 1).
 
-Exit codes: 0 success, 1 verified-property violation, 2 input error.
+Exit codes: 0 success, 1 verified-property violation, 2 input error, an
+unwritable --json or --dot path included.
 """
 
 import argparse
@@ -58,6 +59,14 @@ def _load(path, max_size):
     return ext, ExtensionLattice(ext)
 
 
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc}") from exc
+
+
 def _node_info(lattice, sub):
     return {
         "index": lattice.index[sub.key],
@@ -72,8 +81,7 @@ def cmd_lattice(args):
     report["top_size"] = ext.top.size
     report["bottom_size"] = ext.bottom.size
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(lat))
+        _write(args.dot, export_dot(lat))
     return report, EXIT_OK
 
 
@@ -136,8 +144,7 @@ def cmd_classify(args):
     for e in edges:
         counts[e["kind"]] += 1
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(lat))
+        _write(args.dot, export_dot(lat))
     return {
         "edges": edges,
         "edge_counts": counts,
@@ -227,16 +234,22 @@ def cmd_corpus(args):
     }, EXIT_OK
 
 
-def max_size_arg(parser, help_, least):
-    """--max-size N with N >= least: a smaller cap admits no input at all."""
-    def size(text):
+def at_least(least):
+    """The argparse type of an integer N >= least."""
+    def integer(text):
         n = int(text)
         if n < least:
             raise argparse.ArgumentTypeError(f"{n} is below {least}")
         return n
 
+    return integer
+
+
+def max_size_arg(parser, help_, least):
+    """--max-size N with N >= least: a smaller cap admits no input at all."""
     parser.add_argument(
-        "--max-size", type=size, default=DEFAULT_MAX_SIZE, metavar="N",
+        "--max-size", type=at_least(least), default=DEFAULT_MAX_SIZE,
+        metavar="N",
         help=f"{help_} (default {DEFAULT_MAX_SIZE}, at least {least})",
     )
 
@@ -276,14 +289,14 @@ def build_parser():
                     help=f"one of: {', '.join(SUITE_NAMES)}")
     pv.add_argument("--suite", help="suite name (same as the positional)")
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--count", type=int, default=300)
+    pv.add_argument("--count", type=at_least(1), default=300)
     max_size_arg(pv, "cap on the size of corpus tops", MIN_TOP_SIZE)
     pv.add_argument("--json", help="also write the JSON report to PATH")
     pv.set_defaults(fn=cmd_verify)
 
     pc = sub.add_parser("corpus", help="generate and describe a seeded corpus")
     pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--count", type=int, default=300)
+    pc.add_argument("--count", type=at_least(1), default=300)
     max_size_arg(pc, "cap on the size of corpus tops", MIN_TOP_SIZE)
     pc.add_argument("--json", help="also write the JSON report to PATH")
     pc.set_defaults(fn=cmd_corpus)
@@ -295,17 +308,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         payload, code = args.fn(args)
+        text = export_json(payload)
+        if args.json:
+            _write(args.json, text)
     except (SpecError, LatticeBudgetExceeded, InvalidNodeBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    text = export_json(payload)
     sys.stdout.write(text)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return code
 
 

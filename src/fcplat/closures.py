@@ -13,6 +13,7 @@ import numpy as np
 
 from .spectrum import is_unramified, tensor_square
 from .linalg import kernel_mod
+from .ring import exact_log, is_prime
 from .structure import _nilpotent_mask
 from .submodule import Subalgebra, Submodule, subring_generated
 
@@ -177,13 +178,12 @@ def primitive_min_poly(phi):
     """
     K = phi.target
     q = phi.source.size
-    m = 0
-    while q**m < K.size:
-        m += 1
+    m = exact_log(K.size, q)
+    assert m is not None, "a field extension has q^m elements"
     X = K.elements_array()
     generates = np.ones(len(X), dtype=bool)
     for r in range(2, m + 1):
-        if m % r == 0 and all(r % s for s in range(2, r)):
+        if m % r == 0 and is_prime(r):
             generates &= (K.pow_rows(X, q ** (m // r)) != X).any(axis=1)
     return _min_poly(phi, X[generates.argmax()])
 

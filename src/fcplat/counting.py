@@ -20,6 +20,7 @@ The sum formula states |[R, S]| is the sum of n[R', S'] over all pairs
 import numpy as np
 
 from .closures import primitive_min_poly, x_closure
+from .memo import memo
 from .ring import RingMorphism, quotient_ring, ring_from_generators
 from .structure import maximal_ideals, residue_field
 from .submodule import Subalgebra, Submodule, subring_generated
@@ -105,15 +106,16 @@ def t_closure_node(lattice, low=None, high=None):
     """
     low = lattice.bottom if low is None else low
     high = lattice.top_node if high is None else high
-    if "t_of" not in lattice._cache:
-        lattice._cache["t_of"] = {}
-    t_of = lattice._cache["t_of"]
-    if low.key not in t_of:
-        t_of[low.key] = x_closure(lattice.upper(low), "t")
-    t_full = t_of[low.key]
+    t_full = _t_closure_in_top(lattice, low)
     node = t_full if high == lattice.top_node else t_full.intersect(high)
     assert node.key in lattice.index
     return lattice.nodes[lattice.index[node.key]]
+
+
+@memo
+def _t_closure_in_top(lattice, low):
+    """The t-closure of low in the full top."""
+    return x_closure(lattice.upper(low), "t")
 
 
 def complement_count_lattice(lattice, low=None, high=None):

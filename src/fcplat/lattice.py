@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 
+from .memo import memo
 from .spectrum import Extension
 from .submodule import Subalgebra, subring_generated
 
@@ -26,14 +27,15 @@ class InvalidNodeBudget(ValueError):
 
 def _max_nodes_default():
     env = os.environ.get("FCPLAT_MAX_NODES")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidNodeBudget(
-                f"FCPLAT_MAX_NODES must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_MAX_NODES
+    try:
+        budget = int(env) if env else DEFAULT_MAX_NODES
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise InvalidNodeBudget(
+            f"FCPLAT_MAX_NODES must be an integer of at least 1, got {env!r}"
+        )
+    return budget
 
 
 def enumerate_interval(ambient, bottom, max_nodes=None):
@@ -84,7 +86,6 @@ class ExtensionLattice:
             ext.top, ext.bottom, max_nodes=max_nodes
         )
         self.index = {n.key: i for i, n in enumerate(self.nodes)}
-        self._cache = {}
 
     @property
     def bottom(self):
@@ -97,47 +98,43 @@ class ExtensionLattice:
     def node_count(self):
         return len(self.nodes)
 
+    @memo
     def leq(self):
         """Containment matrix as a list of sets: leq[i] = {j : node_i <= node_j}."""
-        if "leq" not in self._cache:
-            # the basis rows of every node, tested against each node at once
-            rows = np.vstack([n.basis_array() for n in self.nodes])
-            starts = np.cumsum([0] + [len(n.hrows) for n in self.nodes[:-1]])
-            out = [set() for _ in self.nodes]
-            for j, b in enumerate(self.nodes):
-                inside = np.logical_and.reduceat(b.contains_many(rows), starts)
-                for i in np.flatnonzero(inside):
-                    out[i].add(j)
-            self._cache["leq"] = out
-        return self._cache["leq"]
+        # the basis rows of every node, tested against each node at once
+        rows = np.vstack([n.basis_array() for n in self.nodes])
+        starts = np.cumsum([0] + [len(n.hrows) for n in self.nodes[:-1]])
+        out = [set() for _ in self.nodes]
+        for j, b in enumerate(self.nodes):
+            inside = np.logical_and.reduceat(b.contains_many(rows), starts)
+            for i in np.flatnonzero(inside):
+                out[i].add(j)
+        return out
 
+    @memo
     def hasse_edges(self):
         """Covering pairs (i, j), node i covered by node j."""
-        if "edges" not in self._cache:
-            leq = self.leq()
-            edges = []
-            for i in range(len(self.nodes)):
-                for j in leq[i]:
-                    if j == i:
-                        continue
-                    if any(
-                        k != i and k != j and j in leq[k] for k in leq[i]
-                    ):
-                        continue
-                    edges.append((i, j))
-            edges.sort()
-            self._cache["edges"] = edges
-        return self._cache["edges"]
+        leq = self.leq()
+        edges = []
+        for i in range(len(self.nodes)):
+            for j in leq[i]:
+                if j == i:
+                    continue
+                if any(k != i and k != j and j in leq[k] for k in leq[i]):
+                    continue
+                edges.append((i, j))
+        edges.sort()
+        return edges
 
+    @memo
     def _successors(self):
         """Hasse successors: _successors()[i] lists the covers of node i."""
-        if "succ" not in self._cache:
-            succ = {}
-            for i, j in self.hasse_edges():
-                succ.setdefault(i, []).append(j)
-            self._cache["succ"] = succ
-        return self._cache["succ"]
+        succ = {}
+        for i, j in self.hasse_edges():
+            succ.setdefault(i, []).append(j)
+        return succ
 
+    @memo
     def path_lengths(self, low=None):
         """(longest, shortest) number of Hasse steps from low to the top.
 
@@ -145,21 +142,18 @@ class ExtensionLattice:
         inside [low, top], so the whole Hasse diagram serves every interval.
         """
         start = 0 if low is None else self.index[low.key]
-        cache = self._cache.setdefault("paths", {})
-        if start not in cache:
-            succ = self._successors()
-            n = len(self.nodes)
-            longest = {start: 0}
-            shortest = {start: 0}
-            # nodes are sorted by size, so edges always go up in index order
-            for i in range(start, n):
-                if i not in longest:
-                    continue
-                for j in succ.get(i, []):
-                    longest[j] = max(longest.get(j, 0), longest[i] + 1)
-                    shortest[j] = min(shortest.get(j, n), shortest[i] + 1)
-            cache[start] = (longest[n - 1], shortest[n - 1])
-        return cache[start]
+        succ = self._successors()
+        n = len(self.nodes)
+        longest = {start: 0}
+        shortest = {start: 0}
+        # nodes are sorted by size, so edges always go up in index order
+        for i in range(start, n):
+            if i not in longest:
+                continue
+            for j in succ.get(i, []):
+                longest[j] = max(longest.get(j, 0), longest[i] + 1)
+                shortest[j] = min(shortest.get(j, n), shortest[i] + 1)
+        return longest[n - 1], shortest[n - 1]
 
     def length(self):
         """Longest chain length from bottom to top."""
@@ -238,21 +232,16 @@ class ExtensionLattice:
                 out.append(U)
         return out
 
+    @memo
     def sub_extension(self, low, high):
         """The extension low <= high with high re-presented as a ring."""
-        cache = self._cache.setdefault("sub_ext", {})
-        ck = (low.key, high.key)
-        if ck not in cache:
-            pres = high.as_ring()
-            bot = Subalgebra.from_generators(
-                pres.ring, pres.from_ambient_rows(low.basis)
-            )
-            cache[ck] = (Extension(pres.ring, bot), pres)
-        return cache[ck]
+        pres = high.as_ring()
+        bot = Subalgebra.from_generators(
+            pres.ring, pres.from_ambient_rows(low.basis)
+        )
+        return Extension(pres.ring, bot), pres
 
+    @memo
     def upper(self, node):
         """The extension node <= S inside the ambient ring, built once."""
-        cache = self._cache.setdefault("upper", {})
-        if node.key not in cache:
-            cache[node.key] = Extension(self.ambient, node)
-        return cache[node.key]
+        return Extension(self.ambient, node)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .memo import memo
+from .ring import exact_log, is_prime
 from .structure import maximal_ideals
 from .submodule import Submodule
 
@@ -38,10 +40,6 @@ class MinimalClassification:
 
 class NotMinimalError(ValueError):
     pass
-
-
-def _is_prime(n):
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
 def classify_minimal(ext):
@@ -64,11 +62,8 @@ def classify_minimal(ext):
 
     # inert: C itself is maximal in B, minimal residual field extension
     if any(N.key == C.key for N in over):
-        big = B.size // C.size
-        deg = 0
-        while q_res**(deg + 1) <= big:
-            deg += 1
-        if q_res**deg == big and _is_prime(deg):
+        deg = exact_log(B.size // C.size, q_res)
+        if deg is not None and is_prime(deg):
             phi = ext.residual_extension(next(N for N in over if N.key == C.key))
             assert phi.is_injective()
             checks.append(MinimalClassification("inert", C.key, deg, None))
@@ -128,11 +123,8 @@ def classify_cover(lattice, i, j):
     return classify_minimal(ext)
 
 
+@memo
 def edge_labels(lattice):
     """Classification of every Hasse edge, keyed by the edge pair."""
-    if "edge_labels" not in lattice._cache:
-        out = {}
-        for i, j in lattice.hasse_edges():
-            out[(i, j)] = classify_cover(lattice, i, j)
-        lattice._cache["edge_labels"] = out
-    return lattice._cache["edge_labels"]
+    return {(i, j): classify_cover(lattice, i, j)
+            for i, j in lattice.hasse_edges()}

@@ -26,6 +26,7 @@ from .linalg import (
     smith_presentation,
     span_size,
 )
+from .memo import memo
 
 # The batched kernel sums rank products of entries below L in int64, so a
 # ring must keep rank * L^2 below this bound.
@@ -66,14 +67,12 @@ class FiniteRing:
         # npC[i, j, k] is the e_k-coefficient of e_i * e_j
         self.npC = C % self.np_orders
         self.npC.flags.writeable = False
-        self._table = None
         self.one = tuple(int(c) % d for c, d in zip(one, self.orders))
         self.L = self.orders[0]
         size = 1
         for d in self.orders:
             size *= d
         self.size = size
-        self._cache = {}
         if check:
             self._validate()
 
@@ -83,13 +82,12 @@ class FiniteRing:
         return f"FiniteRing({self.label}, orders={self.orders}, size={self.size})"
 
     @property
+    @memo
     def table(self):
         """The structure constants npC as nested tuples of ints."""
-        if self._table is None:
-            self._table = tuple(
-                tuple(tuple(cell) for cell in row) for row in self.npC.tolist()
-            )
-        return self._table
+        return tuple(
+            tuple(tuple(cell) for cell in row) for row in self.npC.tolist()
+        )
 
     @property
     def char(self):
@@ -195,26 +193,21 @@ class FiniteRing:
         return tuple([0] * self.rank)
 
     @property
+    @memo
     def basis_vectors(self):
         """The additive basis e_0, ..., e_{n-1} as coefficient tuples."""
-        if "basis_vectors" not in self._cache:
-            n = self.rank
-            self._cache["basis_vectors"] = tuple(
-                tuple(int(i == j) for i in range(n)) for j in range(n)
-            )
-        return self._cache["basis_vectors"]
+        n = self.rank
+        return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
 
     def elements(self):
         """All coefficient tuples, in lexicographic order."""
         return itertools.product(*[range(d) for d in self.orders])
 
+    @memo
     def elements_array(self):
         """All coefficient tuples, in lexicographic order, as an array."""
-        key = "elements_array"
-        if key not in self._cache:
-            grid = np.indices(self.orders, dtype=np.int64)
-            self._cache[key] = grid.reshape(self.rank, -1).T.copy()
-        return self._cache[key]
+        grid = np.indices(self.orders, dtype=np.int64)
+        return grid.reshape(self.rank, -1).T.copy()
 
 
 class RingMorphism:
@@ -318,8 +311,20 @@ def _tuple(row):
 # -- constructors ------------------------------------------------------
 
 
+def is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def exact_log(n, q):
+    """The k with q**k == n, or None when n is no power of q >= 2."""
+    k = 0
+    while n > 1 and n % q == 0:
+        n, k = n // q, k + 1
+    return k if n == 1 else None
+
+
 def prime_field(p):
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError("p must be prime")
     return FiniteRing((p,), (((1,),),), (1,), label=f"F{p}")
 
@@ -376,10 +381,8 @@ def galois_field(q):
 def _prime_power(q):
     # the least divisor p > 1 of q is prime, and p <= sqrt(q) unless p = q
     p = next((d for d in range(2, isqrt(max(q, 0)) + 1) if q % d == 0), q)
-    m, k = q, 0
-    while p > 1 and m % p == 0:
-        m, k = m // p, k + 1
-    if m != 1 or k == 0:
+    k = exact_log(q, p)
+    if not k:
         raise ValueError("q must be a prime power")
     return p, k
 

@@ -10,6 +10,7 @@ S (x)_R S by generators and relations, and the predicates built on it
 import numpy as np
 
 from .linalg import kernel_mod, scale_rows
+from .memo import memo
 from .ring import RingMorphism, build_ring, ring_from_generators
 from .structure import (
     is_field,
@@ -31,7 +32,6 @@ class Extension:
         self.bottom = bottom
         if not bottom.contains(top.one):
             raise ValueError("bottom must contain the unit of the top ring")
-        self._cache = {}
 
     def __repr__(self):
         return f"Extension(|R|={self.bottom.size}, |S|={self.top.size})"
@@ -44,43 +44,34 @@ class Extension:
     def bottom_ring(self):
         return self.bottom_pres.ring
 
+    @memo
     def conductor_ideal(self):
         """(R : S), an ideal of S contained in R."""
-        if "conductor" not in self._cache:
-            self._cache["conductor"] = conductor(self.bottom)
-        return self._cache["conductor"]
+        return conductor(self.bottom)
 
+    @memo
     def ideal_to_bottom(self, sub):
         """Intersect a subgroup of S with R and view it inside the bottom ring.
 
         Results are kept per subgroup: residual sizes and lying-over ask for
         the same maximal ideals many times over.
         """
-        cache = self._cache.setdefault("to_bottom", {})
-        if sub.hrows not in cache:
-            pres = self.bottom_pres
-            common = sub.intersect(self.bottom).basis
-            cache[sub.hrows] = Ideal.from_generators(
-                pres.ring, pres.from_ambient_rows(common)
-            )
-        return cache[sub.hrows]
+        pres = self.bottom_pres
+        common = sub.intersect(self.bottom).basis
+        return Ideal.from_generators(pres.ring, pres.from_ambient_rows(common))
 
     # -- lying over ----------------------------------------------------
 
+    @memo
     def lying_over(self):
         """Pairs (N, P): N maximal in S, P = N cap R maximal in the bottom ring."""
-        if "lying_over" not in self._cache:
-            out = []
-            for N in maximal_ideals(self.top):
-                P = self.ideal_to_bottom(N)
-                out.append((N, P))
-            bottom_max = {M.key for M in maximal_ideals(self.bottom_ring)}
-            for _, P in out:
-                assert P.key in bottom_max, "lying over must hit maximal ideals"
-            # every maximal ideal of R is hit (finite extensions are integral)
-            assert {P.key for _, P in out} == bottom_max
-            self._cache["lying_over"] = out
-        return self._cache["lying_over"]
+        out = [(N, self.ideal_to_bottom(N)) for N in maximal_ideals(self.top)]
+        bottom_max = {M.key for M in maximal_ideals(self.bottom_ring)}
+        for _, P in out:
+            assert P.key in bottom_max, "lying over must hit maximal ideals"
+        # every maximal ideal of R is hit (finite extensions are integral)
+        assert {P.key for _, P in out} == bottom_max
+        return out
 
     def is_i_extension(self):
         """Is the lying-over map Spec(S) -> Spec(R) injective?"""
@@ -97,13 +88,10 @@ class Extension:
         rows = projN.apply_rows(to_amb.apply_rows(liftsP))
         return RingMorphism(kP, kN, rows)
 
+    @memo
     def residual_extensions(self):
         """The residual extensions at every maximal ideal of the top."""
-        if "residual_extensions" not in self._cache:
-            self._cache["residual_extensions"] = [
-                self.residual_extension(N) for N in maximal_ideals(self.top)
-            ]
-        return self._cache["residual_extensions"]
+        return [self.residual_extension(N) for N in maximal_ideals(self.top)]
 
     def residual_sizes(self, N):
         """(|R/(N cap R)|, |S/N|) without building the quotients."""
@@ -178,23 +166,19 @@ class TensorSquare:
         self.left = left
         self.right = right
         self.codiagonal = codiagonal
-        self._cache = {}
 
+    @memo
     def diagonal_kernel(self):
         """ker(codiagonal) as a submodule (in fact an ideal) of the tensor ring."""
-        if "kernel" not in self._cache:
-            S = self.codiagonal.target
-            T = self.ring
-            rows = scale_rows(self.codiagonal.matrix, S.np_orders, S.L)
-            ker = kernel_mod(rows.tolist(), S.rank, S.L)
-            self._cache["kernel"] = Submodule.from_generators(T, ker)
-        return self._cache["kernel"]
+        S = self.codiagonal.target
+        rows = scale_rows(self.codiagonal.matrix, S.np_orders, S.L)
+        ker = kernel_mod(rows.tolist(), S.rank, S.L)
+        return Submodule.from_generators(self.ring, ker)
 
 
+@memo
 def tensor_square(ext):
     """Present S (x)_R S by generators e_i (x) e_j and bilinearity relations."""
-    if "tensor_square" in ext._cache:
-        return ext._cache["tensor_square"]
     S = ext.top
     n = S.rank
     k = n * n
@@ -226,9 +210,7 @@ def tensor_square(ext):
     # sanity: codiagonal splits both structural maps
     assert np.array_equal(codiag.apply_rows(left.matrix), eye)
     assert np.array_equal(codiag.apply_rows(right.matrix), eye)
-    ts = TensorSquare(ring, left, right, codiag)
-    ext._cache["tensor_square"] = ts
-    return ts
+    return TensorSquare(ring, left, right, codiag)
 
 
 def is_epimorphism(ext):
@@ -237,19 +219,18 @@ def is_epimorphism(ext):
     return tensor_square(ext).ring.size == ext.top.size
 
 
+@memo
 def is_unramified(ext):
     """Primary criterion: I = I^2 for I the kernel of the codiagonal."""
-    if "unramified" not in ext._cache:
-        ts = tensor_square(ext)
-        I = ts.diagonal_kernel()
-        T = ts.ring
-        B = np.array(I.basis, dtype=np.int64)
-        # commutative, so the products a*b with a before b span I^2
-        i, j = np.triu_indices(len(B))
-        ext._cache["unramified"] = not I.basis or I == (
-            Submodule.from_generators(T, T.mul_pairs(B, B)[i, j])
-        )
-    return ext._cache["unramified"]
+    ts = tensor_square(ext)
+    I = ts.diagonal_kernel()
+    T = ts.ring
+    B = np.array(I.basis, dtype=np.int64)
+    # commutative, so the products a*b with a before b span I^2
+    i, j = np.triu_indices(len(B))
+    return not I.basis or I == (
+        Submodule.from_generators(T, T.mul_pairs(B, B)[i, j])
+    )
 
 
 def is_unramified_local(ext):

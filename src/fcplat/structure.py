@@ -6,11 +6,10 @@ idempotents cut out those factors, and the maximal ideal of each factor is
 exactly its set of nilpotents, which keeps everything elementary.
 """
 
-import math
-
 import numpy as np
 
-from .ring import ring_from_generators, quotient_ring
+from .memo import memo
+from .ring import exact_log, quotient_ring, ring_from_generators
 from .submodule import Ideal
 
 
@@ -25,56 +24,46 @@ def _nilpotent_mask(R, X):
     return ~X.any(axis=1)
 
 
+@memo
 def idempotents(R):
     """All idempotent coefficient tuples, sorted."""
-    if "idempotents" not in R._cache:
-        arr = R.elements_array()
-        sq = R.mul_rows(arr, arr)
-        mask = np.all(sq == arr, axis=1)
-        R._cache["idempotents"] = [
-            tuple(int(x) for x in row) for row in arr[mask]
-        ]
-    return R._cache["idempotents"]
+    arr = R.elements_array()
+    mask = np.all(R.mul_rows(arr, arr) == arr, axis=1)
+    return [tuple(int(x) for x in row) for row in arr[mask]]
 
 
+@memo
 def primitive_idempotents(R):
     """The primitive idempotents; one per local factor, sorted."""
-    if "prim_idempotents" not in R._cache:
-        idems = [e for e in idempotents(R) if any(e)]
-        E = np.array(idems, dtype=np.int64).reshape(-1, R.rank)
-        # e is primitive iff no idempotent sits properly below it:
-        # e*f is an idempotent below e, so demand e*f in {0, e}
-        P = R.mul_pairs(E, E)
-        ok = (P == E[:, None]).all(axis=2) | ~P.any(axis=2)
-        R._cache["prim_idempotents"] = [
-            e for e, row in zip(idems, ok) if row.all()
-        ]
-    return R._cache["prim_idempotents"]
+    idems = [e for e in idempotents(R) if any(e)]
+    E = np.array(idems, dtype=np.int64).reshape(-1, R.rank)
+    # e is primitive iff no idempotent sits properly below it:
+    # e*f is an idempotent below e, so demand e*f in {0, e}
+    P = R.mul_pairs(E, E)
+    ok = (P == E[:, None]).all(axis=2) | ~P.any(axis=2)
+    return [e for e, row in zip(idems, ok) if row.all()]
 
 
+@memo
 def nilradical(R):
-    if "nilradical" not in R._cache:
-        arr = R.elements_array()
-        mask = _nilpotent_mask(R, arr)
-        R._cache["nilradical"] = Ideal.from_generators(R, arr[mask])
-    return R._cache["nilradical"]
+    arr = R.elements_array()
+    return Ideal.from_generators(R, arr[_nilpotent_mask(R, arr)])
 
 
+@memo
 def max_ideal_idempotent_pairs(R):
     """Pairs (e, M_e) with e primitive idempotent and M_e = {x : x*e nilpotent},
     sorted by the canonical key of the ideal."""
-    if "max_pairs" not in R._cache:
-        arr = R.elements_array()
-        prims = primitive_idempotents(R)
-        prods = R.mul_pairs(arr, prims)
-        out = []
-        for b, e in enumerate(prims):
-            mask = _nilpotent_mask(R, prods[:, b])
-            out.append((e, Ideal.from_generators(R, arr[mask])))
-        out.sort(key=lambda em: em[1].key)
-        assert len(set(m.key for _, m in out)) == len(out)
-        R._cache["max_pairs"] = out
-    return R._cache["max_pairs"]
+    arr = R.elements_array()
+    prims = primitive_idempotents(R)
+    prods = R.mul_pairs(arr, prims)
+    out = []
+    for b, e in enumerate(prims):
+        mask = _nilpotent_mask(R, prods[:, b])
+        out.append((e, Ideal.from_generators(R, arr[mask])))
+    out.sort(key=lambda em: em[1].key)
+    assert len(set(m.key for _, m in out)) == len(out)
+    return out
 
 
 def maximal_ideals(R):
@@ -95,6 +84,7 @@ def is_field(R):
     return len(ms) == 1 and ms[0].size == 1
 
 
+@memo
 def residue_field(R, M):
     """R/M for a maximal ideal M.
 
@@ -102,31 +92,27 @@ def residue_field(R, M):
     an R-coefficient preimage of each basis vector of the field.  Each is
     built once per ring: residual extensions ask for the same ones often.
     """
-    fields = R._cache.setdefault("residue_fields", {})
-    if M.hrows not in fields:
-        field, project, lifts = quotient_ring(R, M.basis, label=f"{R.label}/M")
-        assert is_field(field)
-        fields[M.hrows] = field, project, lifts
-    return fields[M.hrows]
+    field, project, lifts = quotient_ring(R, M.basis, label=f"{R.label}/M")
+    assert is_field(field)
+    return field, project, lifts
 
 
+@memo
 def local_factors(R):
     """The local factors e*R, one per primitive idempotent e.
 
     Returns a list of (e, presentation); the presentation's ring has unit e
     and its to_ambient morphism is the non-unital inclusion into R.
     """
-    if "local_factors" not in R._cache:
-        out = []
-        eye = np.eye(R.rank, dtype=np.int64)
-        for e in primitive_idempotents(R):
-            gens = R.mul_pairs(eye, [e])[:, 0]
-            pres = ring_from_generators(
-                R, gens, e, label=f"{R.label}@{e}", unital=False
-            )
-            out.append((e, pres))
-        R._cache["local_factors"] = out
-    return R._cache["local_factors"]
+    out = []
+    eye = np.eye(R.rank, dtype=np.int64)
+    for e in primitive_idempotents(R):
+        gens = R.mul_pairs(eye, [e])[:, 0]
+        pres = ring_from_generators(
+            R, gens, e, label=f"{R.label}@{e}", unital=False
+        )
+        out.append((e, pres))
+    return out
 
 
 def length_over_local(R, quotient_size):
@@ -136,7 +122,6 @@ def length_over_local(R, quotient_size):
     logarithm of the size in base |k|.
     """
     (M,) = maximal_ideals(R)
-    k_size = R.size // M.size
-    length = round(math.log(quotient_size) / math.log(k_size))
-    assert k_size**length == quotient_size
+    length = exact_log(quotient_size, R.size // M.size)
+    assert length is not None, "a module's size is a power of |k|"
     return length

@@ -18,6 +18,7 @@ from .linalg import (
     span_size,
     unscale_rows,
 )
+from .memo import memo
 from .ring import ring_from_generators
 
 
@@ -27,7 +28,6 @@ class Submodule:
     def __init__(self, ambient, hrows):
         self.ambient = ambient
         self.hrows = hrows
-        self._cache = {}
 
     @classmethod
     def from_generators(cls, ambient, gens):
@@ -50,27 +50,23 @@ class Submodule:
         return self.hrows
 
     @property
+    @memo
     def basis(self):
         """Unscaled generator rows (coefficient tuples of the ambient)."""
-        if "basis" not in self._cache:
-            rows = self.basis_array().tolist()
-            self._cache["basis"] = tuple(map(tuple, rows))
-        return self._cache["basis"]
+        return tuple(map(tuple, self.basis_array().tolist()))
 
+    @memo
     def basis_array(self):
         """The unscaled generator rows as an int64 array."""
-        if "basis_array" not in self._cache:
-            amb = self.ambient
-            arr = unscale_rows(self.hrows, amb.np_orders, amb.L)
-            arr.flags.writeable = False
-            self._cache["basis_array"] = arr
-        return self._cache["basis_array"]
+        amb = self.ambient
+        arr = unscale_rows(self.hrows, amb.np_orders, amb.L)
+        arr.flags.writeable = False
+        return arr
 
     @property
+    @memo
     def size(self):
-        if "size" not in self._cache:
-            self._cache["size"] = span_size(self.hrows, self.ambient.L)
-        return self._cache["size"]
+        return span_size(self.hrows, self.ambient.L)
 
     def contains(self, vec):
         return bool(self.contains_many([vec])[0])
@@ -81,6 +77,7 @@ class Submodule:
         V = scale_rows(arr, amb.np_orders, amb.L)
         return howell_contains(V, self.hrows, amb.L)[0]
 
+    @memo
     def elements_array(self):
         """All members, sorted lexicographically, as an int64 array.
 
@@ -88,19 +85,17 @@ class Submodule:
         0 <= c_t < L / pivot_t, in exactly one way, so the walk over that
         mixed-radix box lists every member once.
         """
-        if "elements_array" not in self._cache:
-            amb = self.ambient
-            L = amb.L
-            V = np.zeros((1, amb.rank), dtype=np.int64)
-            for row in self.hrows:
-                p = next(x for x in row if x)
-                steps = np.arange(L // p, dtype=np.int64)[:, None] * row
-                V = ((V[None] + steps[:, None]) % L).reshape(-1, amb.rank)
-            V //= L // amb.np_orders
-            arr = V[np.lexsort(V.T[::-1])]
-            arr.flags.writeable = False
-            self._cache["elements_array"] = arr
-        return self._cache["elements_array"]
+        amb = self.ambient
+        L = amb.L
+        V = np.zeros((1, amb.rank), dtype=np.int64)
+        for row in self.hrows:
+            p = next(x for x in row if x)
+            steps = np.arange(L // p, dtype=np.int64)[:, None] * row
+            V = ((V[None] + steps[:, None]) % L).reshape(-1, amb.rank)
+        V //= L // amb.np_orders
+        arr = V[np.lexsort(V.T[::-1])]
+        arr.flags.writeable = False
+        return arr
 
     def elements(self):
         """Frozenset of all member coefficient tuples."""
@@ -122,6 +117,7 @@ class Submodule:
     def __repr__(self):
         return f"{type(self).__name__}(size={self.size})"
 
+    @memo
     def intersect(self, other):
         """self cap other by the Zassenhaus construction.
 
@@ -134,17 +130,12 @@ class Submodule:
         Results are kept per `other`: lying-over and residual-field queries
         meet the same maximal ideals with the same bottom many times over.
         """
-        meets = self._cache.setdefault("meets", {})
-        if other.hrows not in meets:
-            amb = self.ambient
-            n = amb.rank
-            zero = (0,) * n
-            rows = [a + a for a in self.hrows] + [b + zero for b in other.hrows]
-            h = howell_form(rows, 2 * n, amb.L)
-            meets[other.hrows] = type(self)(
-                amb, tuple(r[n:] for r in h if not any(r[:n]))
-            )
-        return meets[other.hrows]
+        amb = self.ambient
+        n = amb.rank
+        zero = (0,) * n
+        rows = [a + a for a in self.hrows] + [b + zero for b in other.hrows]
+        h = howell_form(rows, 2 * n, amb.L)
+        return type(self)(amb, tuple(r[n:] for r in h if not any(r[:n])))
 
     def is_ideal(self):
         amb = self.ambient
@@ -167,14 +158,11 @@ class Ideal(Submodule):
 class Subalgebra(Submodule):
     """A unital subring of the ambient ring."""
 
+    @memo
     def as_ring(self):
         """Re-present this subalgebra as a standalone ring."""
-        if "as_ring" not in self._cache:
-            basis = self.basis if self.basis else (self.ambient.one,)
-            self._cache["as_ring"] = ring_from_generators(
-                self.ambient, basis, self.ambient.one
-            )
-        return self._cache["as_ring"]
+        basis = self.basis if self.basis else (self.ambient.one,)
+        return ring_from_generators(self.ambient, basis, self.ambient.one)
 
 
 def subring_generated(ambient, gens, over=None):

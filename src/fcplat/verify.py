@@ -35,6 +35,7 @@ from .counting import (
     verify_sum_formula,
 )
 from .lattice import ExtensionLattice, enumerate_interval
+from .memo import memo
 from .minimal import edge_labels
 from .ring import quotient_ring
 from .spectrum import (
@@ -129,14 +130,12 @@ class ExtContext:
         ext, _ = self.lat.sub_extension(low, high)
         return ext
 
+    @memo
     def interval_lattice(self, high):
         """The fully re-enumerated lattice of [bottom, high] with its
         presentation back into the ambient ring."""
-        cache = self.__dict__.setdefault("_ilat", {})
-        if high.key not in cache:
-            ext, pres = self.lat.sub_extension(self.lat.bottom, high)
-            cache[high.key] = (ExtensionLattice(ext), pres)
-        return cache[high.key]
+        ext, pres = self.lat.sub_extension(self.lat.bottom, high)
+        return ExtensionLattice(ext), pres
 
     def meet_node(self, a, b):
         return self.node(a.intersect(b))

@@ -203,3 +203,37 @@ def test_exit_code_unbuildable_construction(capsys, tmp_path, constructions):
     }))
     assert main(["lattice", str(spec)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", B5101, "--dot"],
+    ["classify", B5101, "--dot"],
+    ["count", R1317, "--json"],
+])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+    path = str(tmp_path / "missing" / "out")
+    assert main(argv + [path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--count", "-3"],
+    ["verify", "identities", "--count", "0"],
+    ["corpus", "--count", "0"],
+])
+def test_non_positive_count_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_env_max_nodes_below_one(capsys, monkeypatch, budget):
+    monkeypatch.setenv("FCPLAT_MAX_NODES", budget)
+    assert main(["lattice", B5101]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: FCPLAT_MAX_NODES must be")
+    assert "exceeded" not in err

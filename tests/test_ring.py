@@ -15,7 +15,9 @@ from fcplat.ring import (
     FiniteRing,
     RingConstructionError,
     RingMorphism,
+    exact_log,
     galois_field,
+    is_prime,
     minimal_irreducible,
     monogenic_quotient,
     prime_field,
@@ -101,6 +103,17 @@ def test_prime_field():
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         prime_field(6)
+
+
+def test_is_prime_and_exact_log_against_brute_force():
+    for n in range(-2, 200):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, n)))
+    for q in (2, 3, 4, 7):
+        powers = {q**k: k for k in range(13)}
+        for n in range(1, 5000):
+            assert exact_log(n, q) == powers.get(n)
+    assert exact_log(2**200, 2) == 200
+    assert exact_log(2**200 + 1, 2) is None
 
 
 def test_minimal_irreducible_f2():
