@@ -7,6 +7,11 @@ into Z/L, L = d1.  The Howell form is the right canonical form here: unlike
 a mere echelon form it makes membership testing and equality of row spans
 exact over Z/L.
 
+`howell_form` builds it by inserting rows one at a time into a Howell basis,
+which may be passed in: a caller that already holds the Howell form of a
+span (a subring T, when it adjoins x) extends it by the new rows alone
+instead of eliminating the whole generator matrix again.
+
 Membership and coordinates both come from one vectorized reduction,
 `howell_contains`, which reduces a whole batch of rows against a Howell
 basis at once.
@@ -64,56 +69,73 @@ def unscale_rows(arr, orders, L):
     return np.asarray(arr, dtype=np.int64).reshape(-1, len(factors)) // factors
 
 
-def howell_form(rows, n, L):
-    """Howell normal form of the span of `rows` inside (Z/L)^n.
+def howell_form(rows, n, L, hrows=()):
+    """Howell normal form of span(hrows) + span(rows) inside (Z/L)^n.
 
-    Returns a tuple of row tuples with strictly increasing pivot columns,
-    each pivot a divisor of L, entries above a pivot reduced modulo it.
-    Spans are equal iff Howell forms are equal.
+    `hrows` must already be a Howell form (of its own span); its rows seed
+    the basis as they are, and only `rows` are inserted.  Returns a tuple of
+    row tuples with strictly increasing pivot columns, each pivot a divisor
+    of L, entries above a pivot reduced modulo it.  Spans are equal iff
+    Howell forms are equal.
+
+    A row r is inserted by reducing it at its leading column against the
+    pivot row P there until it vanishes or reaches a free column, where it
+    becomes a pivot row, normalized so that its pivot divides L.  A pivot p
+    that does not divide the entry a (only when L is composite) gives way
+    to the egcd combination P' = s*P + t*r with pivot g = gcd(p, a), and
+    the unimodular partner r' = (a/g)*P - (p/g)*r, zero in that column,
+    goes on being inserted.  Each new pivot row queues its annihilator
+    multiple (L/p)*r, which is zero at its pivot; once the queue is empty
+    every such multiple lies in the span of the pivot rows to its right,
+    which is the Howell property.  P' needs no multiple of its own, since
+    (L/g)*P' = (L/p)*P - (L/p)*t*r' lies there already.
     """
     if L == 1:
         return ()
-    work = []
-    for r in rows:
-        r = [x % L for x in r]
-        if any(r):
-            work.append(r)
-    result = []
-    for j in range(n):
-        cur = [r for r in work if r[j]]
-        rest = [r for r in work if not r[j]]
-        if not cur:
-            work = rest
-            continue
-        piv = cur[0]
-        for r in cur[1:]:
-            a, b = piv[j], r[j]
-            g, s, t = egcd(a, b)
-            new_piv = [(s * x + t * y) % L for x, y in zip(piv, r)]
-            new_r = [((b // g) * x - (a // g) * y) % L for x, y in zip(piv, r)]
-            piv = new_piv
-            if any(new_r):
-                rest.append(new_r)
-        c = unit_for(piv[j], L)
-        piv = [(c * x) % L for x in piv]
-        p = piv[j]
-        result.append(piv)
-        ann = L // gcd(p, L)
-        extra = [(ann * x) % L for x in piv]
-        if any(extra):
-            rest.append(extra)
-        work = rest
+    piv = [None] * n
+    for h in hrows:
+        piv[next(j for j, x in enumerate(h) if x)] = h
+    queue = [[x % L for x in r] for r in rows]
+    while queue:
+        r = queue.pop()
+        j = 0
+        while True:
+            while j < n and not r[j]:
+                j += 1
+            if j == n:
+                break
+            P = piv[j]
+            a = r[j]
+            if P is None:
+                c = unit_for(a, L)
+                if c != 1:
+                    r = [(c * x) % L for x in r]
+                piv[j] = r
+                if r[j] != 1:
+                    ann = L // r[j]
+                    queue.append([(ann * x) % L for x in r])
+                break
+            p = P[j]
+            if a % p:
+                g, s, t = egcd(p, a)
+                piv[j] = [(s * y + t * x) % L for x, y in zip(r, P)]
+                r = [((a // g) * y - (p // g) * x) % L for x, y in zip(r, P)]
+            else:
+                q = a // p
+                r = [(x - q * y) % L for x, y in zip(r, P)]
+            j += 1
     # reduce entries above each pivot modulo the pivot
-    for i in range(len(result)):
+    cols = [j for j in range(n) if piv[j] is not None]
+    result = [piv[j] for j in cols]
+    for i, j in enumerate(cols):
         ri = result[i]
-        j = next(k for k in range(n) if ri[k])
         p = ri[j]
         for k in range(i):
             rk = result[k]
             q = rk[j] // p
             if q:
                 result[k] = [(x - q * y) % L for x, y in zip(rk, ri)]
-    return tuple(tuple(r) for r in result)
+    return tuple(map(tuple, result))
 
 
 def howell_contains(V, hrows, L):

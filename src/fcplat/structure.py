@@ -16,11 +16,10 @@ from .submodule import Ideal
 def _nilpotent_mask(R, X):
     """Boolean mask of rows of X that are nilpotent in R."""
     X = np.asarray(X, dtype=np.int64)
-    e = 1
-    bound = R.size.bit_length()  # nilpotency index <= length <= log2(size)
-    while e <= bound:
+    # the nilpotency index is at most the length, at most m = floor(log2
+    # |R|), and s squarings reach x^(2^s): s = ceil(log2 m) is enough
+    for _ in range((R.size.bit_length() - 2).bit_length()):
         X = R.mul_rows(X, X)
-        e *= 2
     return ~X.any(axis=1)
 
 

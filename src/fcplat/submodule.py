@@ -125,7 +125,9 @@ class Submodule:
         {(a + b, a)} inside (Z/L)^2n; its members with zero first half are
         exactly (0, c) for c in the intersection.  By the Howell property
         those are spanned by the Howell rows with zero first half, whose
-        second halves are then the Howell form of the intersection.
+        second halves are then the Howell form of the intersection.  The
+        rows (a, a) over self's Howell basis are already a Howell form, so
+        only the rows (b, 0) are inserted into it.
 
         Results are kept per `other`: lying-over and residual-field queries
         meet the same maximal ideals with the same bottom many times over.
@@ -133,8 +135,8 @@ class Submodule:
         amb = self.ambient
         n = amb.rank
         zero = (0,) * n
-        rows = [a + a for a in self.hrows] + [b + zero for b in other.hrows]
-        h = howell_form(rows, 2 * n, amb.L)
+        seed = tuple(a + a for a in self.hrows)
+        h = howell_form([b + zero for b in other.hrows], 2 * n, amb.L, seed)
         return type(self)(amb, tuple(r[n:] for r in h if not any(r[:n])))
 
     def is_ideal(self):
@@ -169,19 +171,22 @@ def subring_generated(ambient, gens, over=None):
     """Smallest unital subring containing the gens and the subring `over`
     (span{1} by default).  Each gen x is adjoined as T[x] = sum_k T x^k: the
     chain M_(j+1) = M_j + M_j x stops at its first repeat and doubles at each
-    strict step, so the T x^k with k <= log2(|S| / |T|) span it."""
+    strict step, so the T x^k with k <= log2(|S| / |T|) span it.  T[x]
+    extends T's Howell basis by the blocks B x^k, B the basis of T, each
+    block the previous one times the multiplication matrix of x."""
     T = over
     if T is None:
         T = Subalgebra.from_generators(ambient, [ambient.one])
+    L, orders = ambient.L, ambient.np_orders
     rest = np.asarray(gens, dtype=np.int64).reshape(-1, ambient.rank)
     while len(rest):
         x, rest = rest[0], rest[1:]
-        powers = [x]
-        for _ in range((ambient.size // T.size).bit_length() - 2):
-            powers.append(ambient.mul_pairs(powers[-1], x)[0, 0])
-        B = T.basis_array()
-        prods = ambient.mul_pairs(B, powers).reshape(-1, ambient.rank)
-        T = Subalgebra.from_generators(ambient, np.vstack([B, prods]))
+        mats = ambient.mul_matrices(x)
+        blocks = [T.basis_array()]
+        for _ in range(max(1, (ambient.size // T.size).bit_length() - 1)):
+            blocks.append(ambient.mul_pairs(blocks[-1], x, mats)[:, 0])
+        rows = scale_rows(np.vstack(blocks[1:]), orders, L).tolist()
+        T = Subalgebra(ambient, howell_form(rows, ambient.rank, L, T.hrows))
         if len(rest):
             rest = rest[~T.contains_many(rest)]
     return T

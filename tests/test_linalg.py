@@ -6,19 +6,69 @@ exhaustively and compared against the Howell / Smith machinery.
 
 import itertools
 import random
+from math import gcd
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from fcplat.linalg import (
+    egcd,
     howell_contains,
     howell_form,
     kernel_mod,
     scale_rows,
     smith_presentation,
     span_size,
+    unit_for,
     unscale_rows,
 )
+
+def howell_by_columns(rows, n, L):
+    """Howell form by column-by-column elimination: the reference that the
+    row-insertion `howell_form` must match tuple for tuple."""
+    if L == 1:
+        return ()
+    work = []
+    for r in rows:
+        r = [x % L for x in r]
+        if any(r):
+            work.append(r)
+    result = []
+    for j in range(n):
+        cur = [r for r in work if r[j]]
+        rest = [r for r in work if not r[j]]
+        if not cur:
+            work = rest
+            continue
+        piv = cur[0]
+        for r in cur[1:]:
+            a, b = piv[j], r[j]
+            g, s, t = egcd(a, b)
+            new_piv = [(s * x + t * y) % L for x, y in zip(piv, r)]
+            new_r = [((b // g) * x - (a // g) * y) % L for x, y in zip(piv, r)]
+            piv = new_piv
+            if any(new_r):
+                rest.append(new_r)
+        c = unit_for(piv[j], L)
+        piv = [(c * x) % L for x in piv]
+        p = piv[j]
+        result.append(piv)
+        ann = L // gcd(p, L)
+        extra = [(ann * x) % L for x in piv]
+        if any(extra):
+            rest.append(extra)
+        work = rest
+    # reduce entries above each pivot modulo the pivot
+    for i in range(len(result)):
+        ri = result[i]
+        j = next(k for k in range(n) if ri[k])
+        p = ri[j]
+        for k in range(i):
+            rk = result[k]
+            q = rk[j] // p
+            if q:
+                result[k] = [(x - q * y) % L for x, y in zip(rk, ri)]
+    return tuple(tuple(r) for r in result)
 
 
 def brute_span(rows, n, L):
@@ -76,6 +126,37 @@ def test_howell_is_canonical_under_generator_changes():
         u = rng.choice([x for x in range(1, L) if _coprime(x, L)])
         alt[0] = tuple((u * x) % L for x in alt[0])
         assert howell_form(alt, n, L) == h
+
+
+def rows_strategy(L, n):
+    # entries drawn from the divisors of L as often as from all of Z/L, so
+    # that pivots that do not divide an entry, and annihilator multiples,
+    # turn up on every composite L
+    divisors = [d for d in range(1, L) if L % d == 0]
+    entry = st.one_of(st.integers(0, L - 1), st.sampled_from(divisors))
+    return st.lists(st.tuples(*[entry] * n), max_size=6)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_insertion_matches_column_elimination(data):
+    L = data.draw(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 10, 12, 16, 27, 30, 36]))
+    n = data.draw(st.integers(1, 6))
+    r1 = data.draw(rows_strategy(L, n))
+    r2 = data.draw(rows_strategy(L, n))
+    h1 = howell_by_columns(r1, n, L)
+    # unseeded
+    assert howell_form(r1, n, L) == h1
+    # seeded with a Howell form: the span of both row sets
+    assert howell_form(r2, n, L, h1) == howell_by_columns(r1 + r2, n, L)
+    # the Zassenhaus seeding of Submodule.intersect: (a, a) rows of one
+    # Howell form, the (b, 0) rows of another inserted
+    h2 = howell_by_columns(r2, n, L)
+    top = [a + a for a in h1]
+    bottom = [b + (0,) * n for b in h2]
+    assert howell_form(bottom, 2 * n, L, tuple(top)) == howell_by_columns(
+        top + bottom, 2 * n, L
+    )
 
 
 def _coprime(a, b):

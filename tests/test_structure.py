@@ -6,6 +6,7 @@ from fcplat.ring import (
     product_ring,
 )
 from fcplat.structure import (
+    _nilpotent_mask,
     idempotents,
     is_field,
     is_local,
@@ -26,6 +27,24 @@ def dual_numbers(q=2):
         F, 2, [F.zero_vec(), F.zero_vec()], label=f"F{q}[t]/(t^2)"
     )
     return R, embed, t
+
+
+def truncated(q, d):
+    F = galois_field(q)
+    return monogenic_quotient(F, d, [F.zero_vec()] * d, label=f"F{q}[y]/(y^{d})")[0]
+
+
+def test_nilpotent_mask_squares_just_enough():
+    # x is nilpotent iff x^|R| = 0; the mask squares only ceil(log2 m)
+    # times, m = floor(log2 |R|), and y in F2[y]/(y^d) has index d = m, so
+    # it needs every one of them
+    rings = [truncated(2, d) for d in range(1, 7)]
+    rings += [truncated(3, d) for d in range(1, 5)]
+    rings += [galois_field(4), product_ring([truncated(2, 3), prime_field(3)])[0]]
+    for R in rings:
+        arr = R.elements_array()
+        brute = ~R.pow_rows(arr, R.size).any(axis=1)
+        assert (_nilpotent_mask(R, arr) == brute).all(), R.label
 
 
 def test_field_structure():
