@@ -177,15 +177,17 @@ def subring_generated(ambient, gens, over=None):
     T = over
     if T is None:
         T = Subalgebra.from_generators(ambient, [ambient.one])
-    L, orders = ambient.L, ambient.np_orders
+    L = ambient.L
     rest = np.asarray(gens, dtype=np.int64).reshape(-1, ambient.rank)
     while len(rest):
         x, rest = rest[0], rest[1:]
         mats = ambient.mul_matrices(x)
-        blocks = [T.basis_array()]
+        block = T.basis_array()
+        blocks = []
         for _ in range(max(1, (ambient.size // T.size).bit_length() - 1)):
-            blocks.append(ambient.mul_pairs(blocks[-1], x, mats)[:, 0])
-        rows = scale_rows(np.vstack(blocks[1:]), orders, L).tolist()
+            block = ambient.mul_pairs(block, x, mats)[:, 0]
+            blocks.append(block)
+        rows = scale_rows(np.vstack(blocks), ambient.np_orders, L).tolist()
         T = Subalgebra(ambient, howell_form(rows, ambient.rank, L, T.hrows))
         if len(rest):
             rest = rest[~T.contains_many(rest)]
