@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .minimal import edge_labels
-from .structure import is_field
 
 CO_KINDS = ("subintegral", "infra_integral")
 
@@ -75,10 +74,15 @@ def co_atom_certificate(lattice, kind, qualifying):
             if ci.kind == cj.kind == "ramified":
                 return ("ramified-pair", i, j)
             if kind == "infra_integral" and ci.kind == cj.kind == "decomposed":
-                ni, nj = lattice.nodes[i], lattice.nodes[j]
-                if is_field(ni.as_ring().ring) and is_field(nj.as_ring().ring):
+                if _is_field(lattice, i) and _is_field(lattice, j):
                     return ("decomposed-pair", i, j)
     return None
+
+
+def _is_field(lattice, i):
+    """Is node i a field: has it one maximal ideal, and that one zero?"""
+    ms = lattice.upper(lattice.nodes[i]).bottom_maximal_ideals()
+    return len(ms) == 1 and ms[0].size == 1
 
 
 def _failing_pair(lattice, kind, qualifying):

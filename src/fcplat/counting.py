@@ -22,15 +22,15 @@ import numpy as np
 from .closures import primitive_min_poly, x_closure
 from .memo import memo
 from .ring import RingMorphism, quotient_ring, ring_from_generators
-from .structure import maximal_ideals, residue_field
-from .submodule import Subalgebra, Submodule, subring_generated
+from .structure import maximal_ideals
+from .submodule import Subalgebra, subring_generated
 
 
 def idealizer(ext, M_sub):
     """The greatest subring R' of S in which M_sub stays an ideal.
 
-    M_sub is an additive subgroup of S (the maximal ideal of the bottom,
-    carried into S); the idealizer is {x in S : x * M_sub <= M_sub}.
+    M_sub is an additive subgroup of S (a maximal ideal of the bottom, kept
+    in S's coordinates); the idealizer is {x in S : x * M_sub <= M_sub}.
     """
     S = ext.top
     arr = S.elements_array()
@@ -43,16 +43,9 @@ def idealizer(ext, M_sub):
     return sub
 
 
-def _bottom_max_ideal_in_top(ext, M):
-    """Carry a maximal ideal M of the bottom ring into the ambient top."""
-    to_amb = ext.bottom_pres.to_ambient
-    return Submodule.from_generators(ext.top, to_amb.apply_rows(M.basis))
-
-
 def complement_count_formula(ext):
     """n[R, S] by the root-counting formula, localizing first if needed."""
-    Rr = ext.bottom_ring
-    max_R = maximal_ideals(Rr)
+    max_R = ext.bottom_maximal_ideals()
     if len(max_R) == 1:
         return _complement_count_local(ext, max_R[0])
     total = 1
@@ -72,22 +65,20 @@ def _complement_count_local(ext, M):
         # over the same subfield are isomorphic over it, so size is enough)
         return 0
 
-    # minimal polynomial over R/M of a primitive element of S/N_1
-    P = primitive_min_poly(ext.residual_extension(tops[0]))
-    kR, _, liftsM = residue_field(ext.bottom_ring, M)
+    # minimal polynomial over R/M of a primitive element of S/N_1, with
+    # R/M the image of R in S/N_1
+    kR = ext.bottom_residue_field(tops[0])
+    P = primitive_min_poly(kR.to_ambient)
 
     # A := R'/M for R' the idealizer of M in S
-    M_S = _bottom_max_ideal_in_top(ext, M)
-    Rp = idealizer(ext, M_S)
+    Rp = idealizer(ext, M)
     pres = ring_from_generators(S, Rp.basis, S.one)
-    A, projA, _ = quotient_ring(pres.ring, pres.from_ambient_rows(M_S.basis))
+    A, projA, _ = quotient_ring(pres.ring, pres.from_ambient_rows(M.basis))
 
-    # the residue field R/M mapped into A
-    to_amb = ext.bottom_pres.to_ambient
-    psi_rows = projA.apply_rows(
-        pres.from_ambient_rows(to_amb.apply_rows(liftsM))
-    )
-    psi = RingMorphism(kR, A, psi_rows)
+    # the residue field R/M mapped into A, through lifts of its basis to R
+    lifts = (kR.lift @ ext.bottom.basis_array()) % S.np_orders
+    psi_rows = projA.apply_rows(pres.from_ambient_rows(lifts))
+    psi = RingMorphism(kR.ring, A, psi_rows)
 
     # P(x) by Horner's rule, for every x of A at once
     X = A.elements_array()

@@ -51,12 +51,9 @@ def classify_minimal(ext):
     B = ext.top
     A = ext.bottom
     C = ext.conductor_ideal()
-    M_R = ext.ideal_to_bottom(C)
-    Rr = ext.bottom_ring
-    max_keys = {m.key for m in maximal_ideals(Rr)}
-    if M_R.key not in max_keys:
+    if C.key not in {P.key for P in ext.bottom_maximal_ideals()}:
         raise NotMinimalError("conductor is not maximal in the bottom ring")
-    q_res = A.size // M_R.size  # |A/M|
+    q_res = A.size // C.size  # |A/M|
     over = [N for N in maximal_ideals(B) if C <= N]
     checks = []
 

@@ -490,11 +490,16 @@ def _coordinates(ambient, aug, k, X):
 
 
 class SubringPresentation:
-    """A subset of an ambient ring re-presented as a ring of its own."""
+    """A subset of an ambient ring re-presented as a ring of its own.
 
-    def __init__(self, ring, to_ambient, aug, k, to_new):
+    Row j of `lift` holds coordinates of the j-th basis vector of `ring`
+    over the generators the presentation was built from.
+    """
+
+    def __init__(self, ring, to_ambient, lift, aug, k, to_new):
         self.ring = ring
         self.to_ambient = to_ambient
+        self.lift = lift
         self._aug = aug
         self._k = k
         self._to_new = to_new
@@ -545,4 +550,4 @@ def ring_from_generators(ambient, gens, one_vec, label=None, unital=None):
         unital = _tuple(one_vec) == ambient.one
     amb_rows = (lift @ G) % ambient.np_orders
     to_ambient = RingMorphism(ring, ambient, amb_rows, unital=unital)
-    return SubringPresentation(ring, to_ambient, aug, k, to_new)
+    return SubringPresentation(ring, to_ambient, lift, aug, k, to_new)

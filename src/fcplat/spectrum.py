@@ -1,6 +1,9 @@
 """Spectrum-level analysis of a ring extension R <= S.
 
-The bottom ring is a unital subalgebra of the top ring; everything here is
+The bottom ring is a unital subalgebra of the top ring, and its ideals,
+idempotents and residue fields are read in S's coordinates: S is finite,
+hence integral, over R, so the maximal ideals of R are the N cap R for N
+maximal in S, and R/(N cap R) is the image of R in S/N.  Everything here is
 computed exactly: lying-over pairs, residual field extensions, conductor
 support, localization at a maximal ideal of the bottom, the tensor square
 S (x)_R S by generators and relations, and the predicates built on it
@@ -19,7 +22,7 @@ from .structure import (
     maximal_ideals,
     residue_field,
 )
-from .submodule import Ideal, Subalgebra, Submodule, conductor, ideal_generated
+from .submodule import Subalgebra, Submodule, conductor, ideal_generated
 
 
 class Extension:
@@ -30,63 +33,67 @@ class Extension:
         if not isinstance(bottom, Subalgebra):
             bottom = Subalgebra(top, bottom.hrows)
         self.bottom = bottom
-        if not bottom.contains(top.one):
-            raise ValueError("bottom must contain the unit of the top ring")
+        if not bottom.is_subring():
+            raise ValueError(
+                "bottom must contain the unit of the top ring and be closed "
+                "under multiplication"
+            )
 
     def __repr__(self):
         return f"Extension(|R|={self.bottom.size}, |S|={self.top.size})"
-
-    @property
-    def bottom_pres(self):
-        return self.bottom.as_ring()
-
-    @property
-    def bottom_ring(self):
-        return self.bottom_pres.ring
 
     @memo
     def conductor_ideal(self):
         """(R : S), an ideal of S contained in R."""
         return conductor(self.bottom)
 
-    @memo
-    def ideal_to_bottom(self, sub):
-        """Intersect a subgroup of S with R and view it inside the bottom ring.
-
-        Results are kept per subgroup: residual sizes and lying-over ask for
-        the same maximal ideals many times over.
-        """
-        pres = self.bottom_pres
-        common = sub.intersect(self.bottom).basis
-        return Ideal.from_generators(pres.ring, pres.from_ambient_rows(common))
-
     # -- lying over ----------------------------------------------------
 
     @memo
     def lying_over(self):
-        """Pairs (N, P): N maximal in S, P = N cap R maximal in the bottom ring."""
-        out = [(N, self.ideal_to_bottom(N)) for N in maximal_ideals(self.top)]
-        bottom_max = {M.key for M in maximal_ideals(self.bottom_ring)}
-        for _, P in out:
-            assert P.key in bottom_max, "lying over must hit maximal ideals"
-        # every maximal ideal of R is hit (finite extensions are integral)
-        assert {P.key for _, P in out} == bottom_max
+        """Pairs (N, N cap R) over the maximal ideals N of S."""
+        return [(N, N.intersect(self.bottom)) for N in maximal_ideals(self.top)]
+
+    @memo
+    def bottom_max_ideal_pairs(self):
+        """Pairs (e, P), P maximal in the bottom and e its primitive
+        idempotent, sorted by the key of P.
+
+        The P are the distinct N cap R, and e is the sum of the primitive
+        idempotents of S at the N over P: e*S is the product of those local
+        factors of S.
+        """
+        over = {}
+        for f, N in max_ideal_idempotent_pairs(self.top):
+            P = N.intersect(self.bottom)
+            over.setdefault(P.key, (P, []))[1].append(f)
+        out = []
+        for key in sorted(over):
+            P, fs = over[key]
+            e = np.sum(fs, axis=0) % self.top.np_orders
+            out.append((tuple(e.tolist()), P))
         return out
+
+    def bottom_maximal_ideals(self):
+        """The maximal ideals of the bottom, as subgroups of S."""
+        return [P for _, P in self.bottom_max_ideal_pairs()]
 
     def is_i_extension(self):
         """Is the lying-over map Spec(S) -> Spec(R) injective?"""
-        pairs = self.lying_over()
-        return len({P.key for _, P in pairs}) == len(pairs)
+        return len(self.bottom_max_ideal_pairs()) == len(self.lying_over())
+
+    @memo
+    def bottom_residue_field(self, N):
+        """R/(N cap R) as the image of R in S/N, presented from the images
+        of a basis of R; its `to_ambient` is the residual extension and its
+        `lift` rows, times that basis, lift its own basis into R."""
+        kN, projN, _ = residue_field(self.top, N)
+        gens = projN.apply_rows(self.bottom.basis_array())
+        return ring_from_generators(kN, gens, kN.one)
 
     def residual_extension(self, N):
         """The induced field extension R/(N cap R) -> S/N as a morphism."""
-        P = self.ideal_to_bottom(N)
-        Rr = self.bottom_ring
-        kP, _, liftsP = residue_field(Rr, P)
-        kN, projN, _ = residue_field(self.top, N)
-        to_amb = self.bottom_pres.to_ambient
-        rows = projN.apply_rows(to_amb.apply_rows(liftsP))
-        return RingMorphism(kP, kN, rows)
+        return self.bottom_residue_field(N).to_ambient
 
     @memo
     def residual_extensions(self):
@@ -95,7 +102,7 @@ class Extension:
 
     def residual_sizes(self, N):
         """(|R/(N cap R)|, |S/N|) without building the quotients."""
-        P = self.ideal_to_bottom(N)
+        P = N.intersect(self.bottom)
         return self.bottom.size // P.size, self.top.size // N.size
 
     def is_infra_integral(self):
@@ -109,23 +116,21 @@ class Extension:
     # -- support -------------------------------------------------------
 
     def supp(self):
-        """V_R((R:S)): maximal ideals of the bottom ring over the conductor."""
-        C = self.ideal_to_bottom(self.conductor_ideal())
-        return [M for M in maximal_ideals(self.bottom_ring) if C <= M]
+        """V_R((R:S)): maximal ideals of the bottom over the conductor."""
+        C = self.conductor_ideal()
+        return [P for P in self.bottom_maximal_ideals() if C <= P]
 
     def msupp_quotient(self, lower, upper):
         """MSupp_R(upper/lower) for subgroups lower <= upper of S."""
         out = []
         top = self.top
-        to_amb = self.bottom_pres.to_ambient
-        for e, M in max_ideal_idempotent_pairs(self.bottom_ring):
-            e_amb = to_amb.apply(e)
+        for e, P in self.bottom_max_ideal_pairs():
             lo, up = (
-                Submodule.from_generators(top, top.mul_pairs(s.basis, e_amb))
+                Submodule.from_generators(top, top.mul_pairs(s.basis, e))
                 for s in (lower, upper)
             )
             if lo != up:
-                out.append(M)
+                out.append(P)
         return out
 
     def msupp(self):
@@ -134,23 +139,22 @@ class Extension:
     # -- localization --------------------------------------------------
 
     def localize_at(self, M):
-        """The extension R_M <= S_M at a maximal ideal M of the bottom ring.
+        """The extension R_M <= S_M at a maximal ideal M of the bottom, one
+        of `bottom_maximal_ideals()`.
 
         Since R is a product of local rings, localizing is cutting by the
         primitive idempotent attached to M.  Returns (extension, pres) where
         pres maps the localized top back into S.
         """
-        pairs = max_ideal_idempotent_pairs(self.bottom_ring)
-        e = next(e for e, MM in pairs if MM.key == M.key)
-        e_amb = self.bottom_pres.to_ambient.apply(e)
+        e = next(e for e, P in self.bottom_max_ideal_pairs() if P.key == M.key)
         top = self.top
-        gens = top.mul_pairs(np.eye(top.rank, dtype=np.int64), e_amb)
+        gens = top.mul_pairs(np.eye(top.rank, dtype=np.int64), e)
         pres = ring_from_generators(
-            top, gens, e_amb,
+            top, gens, e,
             label=f"{top.label}_loc", unital=False,
         )
         bot_gens = pres.from_ambient_rows(
-            top.mul_pairs(self.bottom.basis, e_amb)
+            top.mul_pairs(self.bottom.basis, e)
         )
         bottom_loc = Subalgebra.from_generators(
             pres.ring, np.vstack([bot_gens, [pres.ring.one]])

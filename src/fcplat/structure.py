@@ -9,7 +9,7 @@ exactly its set of nilpotents, which keeps everything elementary.
 import numpy as np
 
 from .memo import memo
-from .ring import exact_log, quotient_ring, ring_from_generators
+from .ring import quotient_ring, ring_from_generators
 from .submodule import Ideal
 
 
@@ -113,14 +113,3 @@ def local_factors(R):
         out.append((e, pres))
     return out
 
-
-def length_over_local(R, quotient_size):
-    """Length of an R-module of the given size, R local with residue field k.
-
-    Every simple module over a local ring is k, so the length is just the
-    logarithm of the size in base |k|.
-    """
-    (M,) = maximal_ideals(R)
-    length = exact_log(quotient_size, R.size // M.size)
-    assert length is not None, "a module's size is a power of |k|"
-    return length

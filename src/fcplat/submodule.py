@@ -146,11 +146,11 @@ class Submodule:
         return bool(self.contains_many(prods).all())
 
     def is_subring(self):
+        """Does the span hold 1 and the products of its basis rows?"""
+        amb = self.ambient
         B = self.basis_array()
-        prods = self.ambient.mul_pairs(B, B)
-        return bool(
-            self.contains(self.ambient.one) and self.contains_many(prods).all()
-        )
+        rows = np.vstack([[amb.one], amb.mul_pairs(B, B).reshape(-1, amb.rank)])
+        return bool(self.contains_many(rows).all())
 
 
 class Ideal(Submodule):

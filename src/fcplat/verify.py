@@ -37,19 +37,14 @@ from .counting import (
 from .lattice import ExtensionLattice, enumerate_interval
 from .memo import memo
 from .minimal import edge_labels
-from .ring import quotient_ring
+from .ring import exact_log, quotient_ring
 from .spectrum import (
     is_epimorphism,
     is_locally_epimorphism,
     is_unramified,
     is_unramified_local,
 )
-from .structure import (
-    is_local,
-    length_over_local,
-    max_ideal_idempotent_pairs,
-    maximal_ideals,
-)
+from .structure import is_local, maximal_ideals
 from .submodule import (
     Subalgebra,
     Submodule,
@@ -124,7 +119,7 @@ class ExtContext:
 
     @cached_property
     def bottom_local(self):
-        return is_local(self.ext.bottom_ring)
+        return len(self.ext.bottom_maximal_ideals()) == 1
 
     def sub(self, low, high):
         ext, _ = self.lat.sub_extension(low, high)
@@ -328,9 +323,19 @@ def check_meet_plus_u(ctx):
 
 
 def check_supports_agree(ctx):
+    """The conductor support equals MSupp(S/R), and the maximal ideals of
+    the bottom re-presented as a ring of its own, carried into S, are the
+    N cap R (lying over is onto)."""
     a = {M.key for M in ctx.supp}
     b = {M.key for M in ctx.ext.msupp()}
-    return a == b
+    pres = ctx.lat.bottom.as_ring()
+    to_amb = pres.to_ambient
+    standalone = {
+        Submodule.from_generators(to_amb.target, to_amb.apply_rows(M.basis)).key
+        for M in maximal_ideals(pres.ring)
+    }
+    lying = {P.key for P in ctx.ext.bottom_maximal_ideals()}
+    return a == b and standalone == lying
 
 
 def check_no_proper_epimorphism(ctx):
@@ -427,9 +432,8 @@ def check_b51_unique_complement(ctx):
             return False
         # MS must not be maximal in S
         ext = ctx.ext
-        (M,) = maximal_ideals(ext.bottom_ring)
-        to_amb = ext.bottom_pres.to_ambient
-        MS = ideal_generated(ext.top, to_amb.apply_rows(M.basis))
+        (M,) = ext.bottom_maximal_ideals()
+        MS = ideal_generated(ext.top, M.basis_array())
         if any(MS == N for N in ctx.top_maximals):
             return False
         cs = ctx.co["co_subintegral"]
@@ -462,9 +466,8 @@ def check_b5103_t_closed_product(ctx):
     ext = ctx.ext
     S = ext.top
     total = 1
-    to_amb = ext.bottom_pres.to_ambient
     for M in ctx.supp:
-        MS = ideal_generated(S, to_amb.apply_rows(M.basis))
+        MS = ideal_generated(S, M.basis_array())
         Q, proj, _ = quotient_ring(S, MS.basis, label=f"{S.label}/MS")
         img = Subalgebra.from_generators(Q, proj.apply_rows(ext.bottom.basis))
         total *= len(enumerate_interval(Q, img))
@@ -485,33 +488,32 @@ def check_b5102_subintegral_chained(ctx):
         return None
     ext = ctx.ext
     S = ext.top
-    Rr = ext.bottom_ring
-    (M,) = maximal_ideals(Rr)
-    C_R = ext.ideal_to_bottom(ctx.conductor)
-    # nilpotency index of M/(R:S) inside R
-    P = Submodule(Rr, M.hrows)
+    (M,) = ext.bottom_maximal_ideals()
+    # nilpotency index of M/(R:S), the powers of M taken in S
+    P = M
     n = 1
-    while not P <= C_R:
-        P = _submodule_product(Rr, P, M)
+    while not P <= ctx.conductor:
+        P = _submodule_product(S, P, M)
         n += 1
-        assert n <= Rr.size.bit_length() + 1
-    to_amb = ext.bottom_pres.to_ambient
-    M_amb = Submodule.from_generators(S, to_amb.apply_rows(M.basis))
+        assert n <= ext.bottom.size.bit_length() + 1
     # hypothesis: R + S M^2 sits at the base of a chained upper interval
-    SM2 = ideal_generated(S, _submodule_product(S, M_amb, M_amb).basis)
+    SM2 = ideal_generated(S, _submodule_product(S, M, M).basis)
     base = subring_generated(S, SM2.basis, over=ext.bottom)
     idxs = ctx.lat.interval(ctx.node(base), ctx.lat.top_node)
     ns = [ctx.lat.nodes[k] for k in idxs]
     upper_chained = all(ns[i] <= ns[i + 1] for i in range(len(ns) - 1))
-    MS = ideal_generated(S, M_amb.basis)
-    len_ok = length_over_local(Rr, MS.size // M_amb.size) == n - 1
+    MS = ideal_generated(S, M.basis_array())
+    # every simple R-module is R/M, so one of length l has q^l elements
+    q = ext.bottom.size // M.size
+    len_ok = exact_log(MS.size // M.size, q) == n - 1
     if not (upper_chained and len_ok):
         return None
     # conclusion
     if not ctx.lat.is_chained():
         return False
     (N,) = ctx.top_maximals
-    L = length_over_local(Rr, N.size // M_amb.size)
+    L = exact_log(N.size // M.size, q)
+    assert L is not None, "a module's size is a power of |R/M|"
     return ctx.lat.node_count() == ctx.lat.length() + 1 == L + 1
 
 
@@ -772,19 +774,15 @@ def check_coclosures_localize(ctx):
     if ctx.bottom_local:
         return None
     ext = ctx.ext
-    Rr = ext.bottom_ring
-    to_amb = ext.bottom_pres.to_ambient
-    pairs = max_ideal_idempotent_pairs(Rr)
     for key, kind in (("co_subintegral", "subintegral"),
                       ("co_infra_integral", "infra_integral")):
         global_cc = ctx.co[key]
         local_ccs = []
-        for e, M in pairs:
+        for e, M in ext.bottom_max_ideal_pairs():
             loc_ext, pres = ext.localize_at(M)
             loc_lat = ExtensionLattice(loc_ext)
             cc = co_closure(loc_lat, kind)
-            e_amb = to_amb.apply(e)
-            local_ccs.append((cc, pres, e_amb))
+            local_ccs.append((cc, pres, e))
         all_exist = all(cc.exists for cc, _, _ in local_ccs)
         if global_cc.exists != all_exist:
             return False

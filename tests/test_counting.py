@@ -2,7 +2,6 @@ from fcplat.counting import (
     complement_count_formula,
     complement_count_lattice,
     idealizer,
-    sum_formula_table,
     t_closure_node,
     verify_sum_formula,
 )

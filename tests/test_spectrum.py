@@ -1,4 +1,9 @@
+from pathlib import Path
+
+import pytest
+
 from fcplat.ring import galois_field, monogenic_quotient, prime_field, product_ring
+from fcplat.specfile import parse_spec
 from fcplat.spectrum import (
     Extension,
     is_epimorphism,
@@ -7,8 +12,14 @@ from fcplat.spectrum import (
     is_unramified_local,
     tensor_square,
 )
-from fcplat.structure import maximal_ideals
-from fcplat.submodule import Subalgebra, subring_generated
+from fcplat.structure import (
+    max_ideal_idempotent_pairs,
+    maximal_ideals,
+    residue_field,
+)
+from fcplat.submodule import Submodule, subring_generated
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def prime_subring_extension(S):
@@ -105,7 +116,7 @@ def test_localize_at_splits_factors():
     bottom = subring_generated(S, [e1, e2])
     assert bottom.size == 4  # F2 x F2 inside F2 x F4
     ext = Extension(S, bottom)
-    ms = maximal_ideals(ext.bottom_ring)
+    ms = ext.bottom_maximal_ideals()
     assert len(ms) == 2
     sizes = set()
     for M in ms:
@@ -122,3 +133,73 @@ def test_lying_over_counts():
     assert len(pairs) == 3
     assert len({P.key for _, P in pairs}) == 1  # bottom is local
     assert not ext.is_i_extension()
+
+
+def test_bottom_must_be_closed_under_multiplication():
+    # span{1, y} in F2[y]/(y^3) holds 1 but not y^2
+    F2 = prime_field(2)
+    R, _, y = monogenic_quotient(F2, 3, [F2.zero_vec()] * 3)
+    span = Submodule.from_generators(R, [R.one, y])
+    assert span.size == 4
+    with pytest.raises(ValueError, match="closed under multiplication"):
+        Extension(R, span)
+
+
+def _route_case(name):
+    if name in ("remark_1317", "b5101_q2"):
+        _, ext = parse_spec((FIXTURES / f"{name}.json").read_text())
+        return ext
+    F2, F3, F4 = prime_field(2), prime_field(3), galois_field(4)
+    if name == "F2xF2<F2xF4":
+        S, pack = product_ring([F2, F4])
+        e1 = pack([(1,), F4.zero_vec()])
+        return Extension(S, subring_generated(S, [e1]))
+    if name == "F3^3":
+        S, _ = product_ring([F3, F3, F3])
+    else:  # F4 x F3 over its prime subring Z/6
+        S, _ = product_ring([F4, F3])
+    return prime_subring_extension(S)
+
+
+@pytest.mark.parametrize(
+    "name", ["remark_1317", "b5101_q2", "F2xF2<F2xF4", "F3^3", "F4xF3"]
+)
+def test_bottom_in_top_coordinates_matches_standalone_bottom(name):
+    """Maximal ideals, idempotents, supports and residue fields of the bottom
+    read inside S agree with those of the bottom re-presented as a ring."""
+    ext = _route_case(name)
+    S = ext.top
+    pres = ext.bottom.as_ring()
+    to_amb = pres.to_ambient
+    # the standalone bottom's maximal ideals, by the S-key of their image
+    standalone = {
+        Submodule.from_generators(S, to_amb.apply_rows(M.basis)).key:
+            (to_amb.apply(e), M)
+        for e, M in max_ideal_idempotent_pairs(pres.ring)
+    }
+    pairs = ext.bottom_max_ideal_pairs()
+    assert [P.key for _, P in pairs] == sorted(standalone)
+    assert all(e == standalone[P.key][0] for e, P in pairs)
+
+    C = Submodule.from_generators(
+        pres.ring, pres.from_ambient_rows(ext.conductor_ideal().basis)
+    )
+    supp = {k for k, (_, M) in standalone.items() if C <= M}
+    assert {P.key for P in ext.supp()} == supp
+    msupp = {
+        k for k, (e, _) in standalone.items()
+        if Submodule.from_generators(S, S.mul_pairs(ext.bottom.basis, e))
+        != Submodule.from_generators(S, S.mul_pairs(S.basis_vectors, e))
+    }
+    assert {P.key for P in ext.msupp()} == msupp
+
+    for N in maximal_ideals(S):
+        _, M = standalone[N.intersect(ext.bottom).key]
+        k, _, lifts = residue_field(pres.ring, M)
+        phi = ext.residual_extension(N)
+        assert phi.source.size == k.size
+        # both images of R/M in S/N are the image of R
+        _, projN, _ = residue_field(S, N)
+        image = projN.apply_rows(to_amb.apply_rows(lifts))
+        assert (Submodule.from_generators(phi.target, phi.matrix)
+                == Submodule.from_generators(phi.target, image))

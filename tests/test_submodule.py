@@ -254,24 +254,32 @@ def test_ideal_generated_is_the_element_set_ideal(data):
 # -- extension-level operations against element-set formulas ---------------
 
 
-def ideal_to_bottom_by_elements(ext, sub):
-    pres = ext.bottom_pres
+def bottom_span_in_top(ext, rows):
+    """The span in S of rows of the bottom re-presented as a ring."""
+    to_amb = ext.bottom.as_ring().to_ambient
+    return Submodule.from_generators(ext.top, to_amb.apply_rows(rows))
+
+
+def meet_bottom_by_elements(ext, sub):
+    """sub cap R from element sets, through the standalone bottom ring."""
+    pres = ext.bottom.as_ring()
     common = sub.elements() & ext.bottom.elements()
-    return Ideal.from_generators(
+    inside = Ideal.from_generators(
         pres.ring, [pres.from_ambient(v) for v in sorted(common)]
     )
+    return bottom_span_in_top(ext, inside.basis)
 
 
 def msupp_quotient_by_elements(ext, lower, upper):
+    pres = ext.bottom.as_ring()
     top = ext.top
-    to_amb = ext.bottom_pres.to_ambient
     out = []
-    for e, M in max_ideal_idempotent_pairs(ext.bottom_ring):
-        e_amb = to_amb.apply(e)
+    for e, M in max_ideal_idempotent_pairs(pres.ring):
+        e_amb = pres.to_ambient.apply(e)
         lo = {scalar_mul(top, e_amb, v) for v in lower.elements()}
         up = {scalar_mul(top, e_amb, v) for v in upper.elements()}
         if lo != up:
-            out.append(M)
+            out.append(bottom_span_in_top(ext, M.basis))
     return out
 
 
@@ -300,11 +308,12 @@ def test_extension_meets_match_element_sets(name):
         + list(lat.nodes)
     )
     for sub in subs:
-        assert ext.ideal_to_bottom(sub) == ideal_to_bottom_by_elements(ext, sub)
+        got = sub.intersect(ext.bottom).key
+        assert got == meet_bottom_by_elements(ext, sub).key
     leq = lat.leq()
     for i, lower in enumerate(lat.nodes):
         for j in sorted(leq[i]):
             upper = lat.nodes[j]
-            got = [M.key for M in ext.msupp_quotient(lower, upper)]
-            want = [M.key for M in msupp_quotient_by_elements(ext, lower, upper)]
+            got = {M.key for M in ext.msupp_quotient(lower, upper)}
+            want = {M.key for M in msupp_quotient_by_elements(ext, lower, upper)}
             assert got == want, (name, i, j)
