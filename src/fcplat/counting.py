@@ -11,18 +11,19 @@ routes compute it:
     and counts the distinct subalgebras (R/M)[x] of R'/M generated by
     roots x of P.  It returns 0 when the residue fields on top are not all
     isomorphic.  For non-local R the count is the product of the local
-    counts over the maximal ideals supporting S/R.
+    counts over the maximal ideals M supporting S/R.  Each local count is
+    read in S, with no localized or quotient ring built.
 
 The sum formula states |[R, S]| is the sum of n[R', S'] over all pairs
 (R', S') with R <= R' <= t(R) <= S' <= S.
 """
 
+import math
+
 import numpy as np
 
 from .closures import primitive_min_poly, x_closure
 from .memo import memo
-from .ring import RingMorphism, quotient_ring, ring_from_generators
-from .structure import maximal_ideals
 from .submodule import Subalgebra, subring_generated
 
 
@@ -44,20 +45,24 @@ def idealizer(ext, M_sub):
 
 
 def complement_count_formula(ext):
-    """n[R, S] by the root-counting formula, localizing first if needed."""
+    """n[R, S] by the root-counting formula: the local count at the maximal
+    ideal of R when R is local, else the product of the local counts over
+    MSupp(S/R)."""
     max_R = ext.bottom_maximal_ideals()
-    if len(max_R) == 1:
-        return _complement_count_local(ext, max_R[0])
-    total = 1
-    for M in ext.msupp():
-        loc_ext, _ = ext.localize_at(M)
-        total *= complement_count_formula(loc_ext)
-    return total
+    local = max_R if len(max_R) == 1 else ext.msupp()
+    return math.prod(_complement_count_local(ext, M) for M in local)
 
 
 def _complement_count_local(ext, M):
+    """n[R_M, S_M], read in S.
+
+    The maximal ideals of S_M are the N of S over M.  With e the idempotent
+    of R at M, the idealizer R' of M in S is the idealizer of eM in eS plus
+    (1 - e)R, so A = R'/M is already the localized one, and the subalgebras
+    of A over R/M are the R[x] / M for x in R'.
+    """
     S = ext.top
-    tops = maximal_ideals(S)
+    tops = [N for N, P in ext.lying_over() if P == M]
     sizes = {ext.residual_sizes(N) for N in tops}
     if len(sizes) != 1:
         # top residue fields of distinct sizes cannot all be isomorphic to
@@ -66,27 +71,25 @@ def _complement_count_local(ext, M):
         return 0
 
     # minimal polynomial over R/M of a primitive element of S/N_1, with
-    # R/M the image of R in S/N_1
+    # R/M the image of R in S/N_1, its coefficients lifted into R
     kR = ext.bottom_residue_field(tops[0])
-    P = primitive_min_poly(kR.to_ambient)
-
-    # A := R'/M for R' the idealizer of M in S
-    Rp = idealizer(ext, M)
-    pres = ring_from_generators(S, Rp.basis, S.one)
-    A, projA, _ = quotient_ring(pres.ring, pres.from_ambient_rows(M.basis))
-
-    # the residue field R/M mapped into A, through lifts of its basis to R
     lifts = (kR.lift @ ext.bottom.basis_array()) % S.np_orders
-    psi_rows = projA.apply_rows(pres.from_ambient_rows(lifts))
-    psi = RingMorphism(kR.ring, A, psi_rows)
+    P = (primitive_min_poly(kR.to_ambient) @ lifts) % S.np_orders
 
-    # P(x) by Horner's rule, for every x of A at once
-    X = A.elements_array()
+    # x + M is a root of P in A = R'/M iff P(x) lies in M; P(x) by Horner's
+    # rule, for every x of R' at once
+    X = idealizer(ext, M).elements_array()
     acc = np.zeros_like(X)
-    for c in psi.apply_rows(P)[::-1]:
-        acc = (A.mul_rows(acc, X) + c) % A.np_orders
-    roots = X[~acc.any(axis=1)]
-    return len({subring_generated(A, [x, *psi.matrix]).key for x in roots})
+    for c in P[::-1]:
+        acc = (S.mul_rows(acc, X) + c) % S.np_orders
+    roots = X[M.contains_many(acc)]
+    # (R/M)[x + M] is R[x] / M: one adjunction per coset x + M of roots
+    keys = set()
+    while len(roots):
+        x = roots[0]
+        keys.add(subring_generated(S, [x], over=ext.bottom).key)
+        roots = roots[~M.contains_many(roots - x)]
+    return len(keys)
 
 
 def t_closure_node(lattice, low=None, high=None):

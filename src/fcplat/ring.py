@@ -254,17 +254,13 @@ class RingMorphism:
         """The image of one coefficient tuple, as a tuple."""
         return tuple(self.apply_rows(vec)[0].tolist())
 
-    def _image_size(self):
-        """Order of the image: the Howell span of the basis images."""
+    def is_injective(self):
+        """Is the image, the Howell span of the basis images, as large as
+        the source?"""
         tgt = self.target
         rows = scale_rows(self.matrix, tgt.np_orders, tgt.L).tolist()
-        return span_size(howell_form(rows, tgt.rank, tgt.L), tgt.L)
-
-    def is_injective(self):
-        return self._image_size() == self.source.size
-
-    def is_surjective(self):
-        return self._image_size() == self.target.size
+        image = howell_form(rows, tgt.rank, tgt.L)
+        return span_size(image, tgt.L) == self.source.size
 
 
 def build_ring(rel_rows, k, L, P, one_vec, label="R", check=True):
@@ -511,9 +507,6 @@ class SubringPresentation:
         if not ok.all():
             raise ValueError("element does not lie in the subring")
         return self._to_new(coords)
-
-    def from_ambient(self, vec):
-        return _tuple(self.from_ambient_rows(vec)[0])
 
 
 def ring_from_generators(ambient, gens, one_vec, label=None, unital=None):

@@ -3,7 +3,10 @@
 The bottom ring is a unital subalgebra of the top ring, and its ideals,
 idempotents and residue fields are read in S's coordinates: S is finite,
 hence integral, over R, so the maximal ideals of R are the N cap R for N
-maximal in S, and R/(N cap R) is the image of R in S/N.  Everything here is
+maximal in S, and R/(N cap R) is the image of R in S/N.  Local pieces are
+read in S as well: the local factor of S at N is the span f*S for f its
+primitive idempotent, and the local criteria for unramified and locally
+epimorphism cut S and S (x)_R S by f and f (x) f.  Everything here is
 computed exactly: lying-over pairs, residual field extensions, conductor
 support, localization at a maximal ideal of the bottom, the tensor square
 S (x)_R S by generators and relations, and the predicates built on it
@@ -16,7 +19,6 @@ from .linalg import kernel_mod, scale_rows
 from .memo import memo
 from .ring import RingMorphism, build_ring, ring_from_generators
 from .structure import (
-    is_field,
     local_factors,
     max_ideal_idempotent_pairs,
     maximal_ideals,
@@ -238,27 +240,17 @@ def is_unramified(ext):
 
 
 def is_unramified_local(ext):
-    """Cross-oracle: at every maximal ideal N of S, the ideal generated by
-    (N cap R) in the local factor S_N is all of N S_N, with separable
-    (automatic here) residual extension."""
+    """Cross-oracle: at every maximal ideal N of S, with e its primitive
+    idempotent, N cap R generates e*N = N cap eS, the maximal ideal of the
+    local factor eS; S*(e c) = eS*(e c), so that ideal is read in S.
+    Residual extensions of finite fields are separable, so nothing more is
+    asked."""
     top = ext.top
-    facts = local_factors(top)
-    prim_to_pres = {e: pres for e, pres in facts}
     for e, N in max_ideal_idempotent_pairs(top):
-        pres = prim_to_pres[e]
-        Sf = pres.ring
-        # image of N cap R in the factor
         common = N.intersect(ext.bottom).basis
-        PSf = ideal_generated(
-            Sf, pres.from_ambient_rows(top.mul_pairs(common, e))
-        )
-        (Nf,) = maximal_ideals(Sf)
-        if PSf != Nf:
+        eN = Submodule.from_generators(top, top.mul_pairs(N.basis, e))
+        if ideal_generated(top, top.mul_pairs(common, e)) != eN:
             return False
-        # residual extensions of finite fields are always separable; just
-        # confirm both residues are fields
-        kN, _, _ = residue_field(top, N)
-        assert is_field(kN)
     return True
 
 
@@ -266,16 +258,16 @@ def is_locally_epimorphism(ext):
     """Is R_N -> S_N an epimorphism for every maximal ideal N of S?
 
     Localizing S at one of its own maximal ideals cuts by the corresponding
-    primitive idempotent f; the bottom localizes to f*R inside f*S.
+    primitive idempotent f.  f*S is an R-module summand of S on which the
+    quotient f*R of R acts, so fS (x)_fR fS = fS (x)_R fS is the summand of
+    S (x)_R S cut by f (x) f, and R_N -> S_N is an epimorphism iff that
+    summand has |f*S| elements.  Cheap where the tensor square of `ext` is
+    already built, as it is under verify.
     """
-    top = ext.top
-    for f, pres in local_factors(top):
-        Sf = pres.ring
-        bot_gens = pres.from_ambient_rows(top.mul_pairs(ext.bottom.basis, f))
-        bottom_f = Subalgebra.from_generators(
-            Sf, np.vstack([bot_gens, [Sf.one]])
-        )
-        sub = Extension(Sf, bottom_f)
-        if not is_epimorphism(sub):
+    ts = tensor_square(ext)
+    T = ts.ring
+    for f, fS in local_factors(ext.top):
+        ff = T.mul_rows(ts.left.apply_rows(f), ts.right.apply_rows(f))
+        if ideal_generated(T, ff).size != fS.size:
             return False
     return True

@@ -9,8 +9,8 @@ exactly its set of nilpotents, which keeps everything elementary.
 import numpy as np
 
 from .memo import memo
-from .ring import quotient_ring, ring_from_generators
-from .submodule import Ideal
+from .ring import quotient_ring
+from .submodule import Ideal, ideal_generated
 
 
 def _nilpotent_mask(R, X):
@@ -100,16 +100,7 @@ def residue_field(R, M):
 def local_factors(R):
     """The local factors e*R, one per primitive idempotent e.
 
-    Returns a list of (e, presentation); the presentation's ring has unit e
-    and its to_ambient morphism is the non-unital inclusion into R.
+    Returns a list of (e, e*R), each factor an ideal of R: a ring whose unit
+    is e, kept as a span in R's coordinates.
     """
-    out = []
-    eye = np.eye(R.rank, dtype=np.int64)
-    for e in primitive_idempotents(R):
-        gens = R.mul_pairs(eye, [e])[:, 0]
-        pres = ring_from_generators(
-            R, gens, e, label=f"{R.label}@{e}", unital=False
-        )
-        out.append((e, pres))
-    return out
-
+    return [(e, ideal_generated(R, [e])) for e in primitive_idempotents(R)]

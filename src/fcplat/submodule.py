@@ -139,12 +139,6 @@ class Submodule:
         h = howell_form([b + zero for b in other.hrows], 2 * n, amb.L, seed)
         return type(self)(amb, tuple(r[n:] for r in h if not any(r[:n])))
 
-    def is_ideal(self):
-        amb = self.ambient
-        eye = np.eye(amb.rank, dtype=np.int64)
-        prods = amb.mul_pairs(self.basis_array(), eye)
-        return bool(self.contains_many(prods).all())
-
     def is_subring(self):
         """Does the span hold 1 and the products of its basis rows?"""
         amb = self.ambient

@@ -774,15 +774,16 @@ def check_coclosures_localize(ctx):
     if ctx.bottom_local:
         return None
     ext = ctx.ext
+    # one localized extension and lattice per maximal ideal, for both kinds
+    local_lats = []
+    for e, M in ext.bottom_max_ideal_pairs():
+        loc_ext, pres = ext.localize_at(M)
+        local_lats.append((ExtensionLattice(loc_ext), pres, e))
     for key, kind in (("co_subintegral", "subintegral"),
                       ("co_infra_integral", "infra_integral")):
         global_cc = ctx.co[key]
-        local_ccs = []
-        for e, M in ext.bottom_max_ideal_pairs():
-            loc_ext, pres = ext.localize_at(M)
-            loc_lat = ExtensionLattice(loc_ext)
-            cc = co_closure(loc_lat, kind)
-            local_ccs.append((cc, pres, e))
+        local_ccs = [(co_closure(loc_lat, kind), pres, e)
+                     for loc_lat, pres, e in local_lats]
         all_exist = all(cc.exists for cc, _, _ in local_ccs)
         if global_cc.exists != all_exist:
             return False

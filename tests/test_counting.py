@@ -1,3 +1,9 @@
+import math
+
+import numpy as np
+import pytest
+
+from fcplat.closures import primitive_min_poly
 from fcplat.counting import (
     complement_count_formula,
     complement_count_lattice,
@@ -6,9 +12,19 @@ from fcplat.counting import (
     verify_sum_formula,
 )
 from fcplat.lattice import ExtensionLattice
-from fcplat.ring import galois_field, monogenic_quotient, prime_field, product_ring
+from fcplat.ring import (
+    RingMorphism,
+    galois_field,
+    monogenic_quotient,
+    prime_field,
+    product_ring,
+    quotient_ring,
+    ring_from_generators,
+)
 from fcplat.spectrum import Extension
+from fcplat.structure import maximal_ideals
 from fcplat.submodule import Submodule, subring_generated
+from test_spectrum import ROUTE_CASES, node_pair_extensions, route_case
 
 
 def prime_ext(S):
@@ -90,3 +106,52 @@ def test_sum_formula_twisted_diagonals():
     table, total = verify_sum_formula(lat, cross_check=True)
     assert total == lat.node_count()
     assert max(table.values()) == 2
+
+
+# -- the count through localized rings and a presented idealizer -----------
+
+
+def count_by_localized_rings(ext):
+    """n[R, S] with each local count taken on R_M <= S_M re-presented as
+    rings, and the roots of P found in A = R'/M built by `quotient_ring`
+    from the idealizer R' re-presented as a ring."""
+    max_R = ext.bottom_maximal_ideals()
+    if len(max_R) > 1:
+        return math.prod(count_by_localized_rings(ext.localize_at(M)[0])
+                         for M in ext.msupp())
+    (M,) = max_R
+    S = ext.top
+    tops = maximal_ideals(S)
+    if len({ext.residual_sizes(N) for N in tops}) != 1:
+        return 0
+    kR = ext.bottom_residue_field(tops[0])
+    P = primitive_min_poly(kR.to_ambient)
+
+    pres = ring_from_generators(S, idealizer(ext, M).basis, S.one)
+    A, projA, _ = quotient_ring(pres.ring, pres.from_ambient_rows(M.basis))
+    # R/M into A, through lifts of its basis to R
+    lifts = (kR.lift @ ext.bottom.basis_array()) % S.np_orders
+    psi = RingMorphism(
+        kR.ring, A, projA.apply_rows(pres.from_ambient_rows(lifts))
+    )
+    X = A.elements_array()
+    acc = np.zeros_like(X)
+    for c in psi.apply_rows(P)[::-1]:
+        acc = (A.mul_rows(acc, X) + c) % A.np_orders
+    roots = X[~acc.any(axis=1)]
+    return len({subring_generated(A, [x, *psi.matrix]).key for x in roots})
+
+
+@pytest.mark.parametrize("name", ROUTE_CASES)
+def test_count_in_s_matches_localized_rings(name):
+    ext = route_case(name)
+    assert complement_count_formula(ext) == count_by_localized_rings(ext)
+
+
+def test_count_in_s_matches_localized_rings_on_node_pairs():
+    counts = set()
+    for ext in node_pair_extensions():
+        n = complement_count_formula(ext)
+        assert n == count_by_localized_rings(ext), ext
+        counts.add(n)
+    assert {0, 1, 2} <= counts

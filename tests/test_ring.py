@@ -27,7 +27,12 @@ from fcplat.ring import (
 )
 from fcplat.spectrum import Extension, tensor_square
 from fcplat.structure import nilradical
-from fcplat.submodule import subring_generated
+from fcplat.submodule import Submodule, subring_generated
+
+
+def image_size(phi):
+    """The order of phi's image: the span of its basis images."""
+    return Submodule.from_generators(phi.target, phi.matrix).size
 
 
 # -- scalar reference arithmetic on coefficient tuples --------------------
@@ -175,7 +180,7 @@ def test_dual_numbers_over_f2():
     assert scalar_mul(R, t, t) == R.zero_vec()
     assert nilradical(R).contains(t)
     assert embed.is_injective()
-    assert not embed.is_surjective()
+    assert image_size(embed) < R.size
     assert not nilradical(R).contains(scalar_add(R, R.one, t))
 
 
@@ -210,7 +215,7 @@ def test_quotient_ring():
     R = FiniteRing((9,), (((1,),),), (1,), label="Z9")
     Q, project, lifts = quotient_ring(R, [(3,)])
     assert Q.size == 3
-    assert project.is_surjective()
+    assert image_size(project) == Q.size
     for row in lifts:
         assert len(row) == 1
     # projection of the lift of each basis vector is that basis vector
@@ -225,9 +230,9 @@ def test_ring_from_generators_full_ring():
     pres = ring_from_generators(F4, gens, F4.one)
     assert pres.ring.size == 4
     assert pres.to_ambient.is_injective()
-    assert pres.to_ambient.is_surjective()
+    assert image_size(pres.to_ambient) == F4.size
     for v in F4.elements():
-        c = pres.from_ambient(v)
+        c = pres.from_ambient_rows(v)[0]
         assert pres.to_ambient.apply(c) == v
 
 
@@ -239,7 +244,7 @@ def test_ring_from_generators_subring():
     pres = ring_from_generators(S, [diag], S.one)
     assert pres.ring.size == 3
     assert pres.to_ambient.is_injective()
-    assert not pres.to_ambient.is_surjective()
+    assert image_size(pres.to_ambient) < S.size
 
 
 def test_ring_from_generators_idempotent_factor():

@@ -5,7 +5,8 @@ makes `Tracer.install` raise.  This test installs it, runs one command
 through the spans, checks that the traced membership and subring layers
 are reached, and that `uninstall` restores every original.  A lattice run
 must feed the enumeration counters, or the benchmark's useful_ratio would
-read 0 on working code.
+read 0 on working code, and a verify run over a non-local bottom must reach
+the local factors, the local unramified criterion and the counting formula.
 """
 
 import importlib
@@ -75,3 +76,18 @@ def test_lattice_run_feeds_the_enumeration_counters(capsys):
     ratio, _ = metrics["lattice.enumerate_interval.useful_ratio"]
     assert nodes > 0
     assert ratio > 0
+
+
+def test_verify_run_reaches_the_local_layers(capsys):
+    # seed 2's single entry has a non-local bottom
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["verify", "all", "--seed", "2", "--count", "1"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for name in ("structure.local_factors", "spectrum.is_unramified_local",
+                 "counting.complement_count_formula"):
+        assert tracer.calls[name] > 0, name

@@ -1,3 +1,7 @@
+import math
+
+import numpy as np
+
 from fcplat.ring import (
     FiniteRing,
     galois_field,
@@ -16,7 +20,7 @@ from fcplat.structure import (
     primitive_idempotents,
     residue_field,
 )
-from fcplat.submodule import conductor, subring_generated
+from fcplat.submodule import conductor, ideal_generated, subring_generated
 from test_ring import scalar_mul
 
 
@@ -84,10 +88,25 @@ def test_product_structure():
     assert len(ms) == 2
     assert sorted(m.size for m in ms) == [2, 4]
     facts = local_factors(S)
-    assert sorted(f.ring.size for _, f in facts) == [2, 4]
-    for e, pres in facts:
-        assert not pres.to_ambient.unital
-        assert scalar_mul(pres.ring, pres.ring.one, pres.ring.one) == pres.ring.one
+    assert sorted(eR.size for _, eR in facts) == [2, 4]
+
+
+def test_local_factors_are_spans_that_split_the_ring():
+    rings = [product_ring([prime_field(2), galois_field(4)])[0],
+             product_ring([prime_field(3)] * 3)[0],
+             product_ring([truncated(2, 2), prime_field(3)])[0],
+             truncated(3, 2), galois_field(9)]
+    for R in rings:
+        facts = local_factors(R)
+        assert math.prod(eR.size for _, eR in facts) == R.size
+        assert len(facts) == len(maximal_ideals(R))
+        total = np.zeros(R.rank, dtype=np.int64)
+        for e, eR in facts:
+            assert scalar_mul(R, e, e) == e
+            assert eR.contains(e)
+            assert eR == ideal_generated(R, eR.basis_array())
+            total = (total + e) % R.np_orders
+        assert tuple(total.tolist()) == R.one
 
 
 def test_product_of_three():
@@ -108,7 +127,7 @@ def test_conductor_diagonal_in_square():
     assert bottom.size == 4
     c = conductor(bottom)
     assert c.size == 1
-    assert c.is_ideal()
+    assert ideal_generated(S, c.basis_array()) == c
 
 
 def test_conductor_nontrivial():
@@ -121,7 +140,7 @@ def test_conductor_nontrivial():
     assert mid.size == 8
     c = conductor(mid)
     assert c.size == 4
-    assert c.is_ideal()
+    assert ideal_generated(S, c.basis_array()) == c
     for v in c.elements():
         assert mid.contains(v)
 

@@ -143,14 +143,15 @@ def check_span(sub):
 
 
 def check_presentation(pres, span):
-    """from_ambient inverts to_ambient on the span and refuses the rest."""
+    """from_ambient_rows inverts to_ambient on the span and refuses the
+    rest."""
     to_amb = pres.to_ambient
     for v in span.elements_array().tolist():
-        assert to_amb.apply(pres.from_ambient(v)) == tuple(v)
+        assert to_amb.apply(pres.from_ambient_rows(v)[0]) == tuple(v)
     outside = ~span.contains_many(span.ambient.elements_array())
     for v in span.ambient.elements_array()[outside][:5].tolist():
         with pytest.raises(ValueError):
-            pres.from_ambient(v)
+            pres.from_ambient_rows(v)
 
 
 @settings(max_examples=80, deadline=None)
@@ -245,7 +246,7 @@ def test_ideal_generated_is_the_element_set_ideal(data):
     gens = data.draw(st.lists(elements_of(ring), max_size=3))
     ideal = ideal_generated(ring, gens)
     assert type(ideal) is Ideal
-    assert ideal.is_ideal()
+    assert ideal_generated(ring, ideal.basis_array()) == ideal
     products = {scalar_mul(ring, s, g) for s in ring.elements() for g in gens}
     want = closure_by_elements(ring, {ring.zero_vec(), *products}, (scalar_add,))
     assert ideal.elements() == want
@@ -265,7 +266,7 @@ def meet_bottom_by_elements(ext, sub):
     pres = ext.bottom.as_ring()
     common = sub.elements() & ext.bottom.elements()
     inside = Ideal.from_generators(
-        pres.ring, [pres.from_ambient(v) for v in sorted(common)]
+        pres.ring, pres.from_ambient_rows(sorted(common))
     )
     return bottom_span_in_top(ext, inside.basis)
 

@@ -1,13 +1,14 @@
 import pytest
 
 from fcplat.corpus import CorpusConfig, generate_corpus
-from fcplat.ring import galois_field, product_ring
+from fcplat.ring import galois_field, prime_field, product_ring
 from fcplat.lattice import ExtensionLattice
 from fcplat.spectrum import Extension
 from fcplat.submodule import subring_generated
 from fcplat.verify import (
     ExtContext,
     SUITES,
+    check_coclosures_localize,
     check_multi_complement_blocks_cosub,
     check_radicial_meet_omega_trivial,
     run_suite,
@@ -66,3 +67,24 @@ def test_radicial_meet_omega_not_applicable_over_ramified_step(seed, count):
     ctx = ExtContext(entry.name, entry.ext, entry.lattice)
     assert ctx.lat.node_count() == 3 and ctx.omega == ctx.lat.top_node
     assert check_radicial_meet_omega_trivial(ctx) is None
+
+
+def test_coclosures_localize_enumerates_each_local_lattice_once(monkeypatch):
+    # F2 x F2 inside F2 x F4: two maximal ideals below, so two localized
+    # lattices, each shared by both co-closure kinds
+    F2, F4 = prime_field(2), galois_field(4)
+    S, pack = product_ring([F2, F4])
+    ext = Extension(S, subring_generated(S, [pack([(1,), F4.zero_vec()])]))
+    ctx = ExtContext("f2xf2<f2xf4", ext, ExtensionLattice(ext))
+    assert not ctx.bottom_local
+    assert ctx.co["co_subintegral"].exists
+    built = []
+    init = ExtensionLattice.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExtensionLattice, "__init__", counted)
+    assert check_coclosures_localize(ctx) is True
+    assert len(built) == 2
