@@ -3,21 +3,45 @@
 The elementwise closures come from the quadratic witness polynomials
 p_r(X) = X^2 - r X: an element b of S is witnessed over a subring B when
 p_r(b) and b * p_r(b) both land in B, with r = 0 (seminormalization), r = 1
-(u-closure) or r ranging over B (t-closure).  Each closure is computed as a
-fixpoint of adjoining witnessed elements; lattice-based oracles (least
-closed node, greatest integral node reached by elementary steps) are kept
-separate so the two routes can be compared.
+(u-closure) or r ranging over B (t-closure).  Two of them are computed by
+linear algebra on spans, since S is finite, so integral over R, and its
+Jacobson radical J(S) is its nilradical:
+
+  * the seminormalization is R + J(S): a subintegral T has T/J(T) = R/J(R),
+    so T = R + J(T), and R + J(S) is a ring with R's residue fields;
+  * the t-closure is the intersection of the R + N over the maximal ideals
+    N of S: an infra-integral T takes every residue from R, so T <= R + N,
+    and the intersection is a ring with R's residue fields.
+
+The u-closure is the fixpoint of adjoining witnessed elements, and that
+fixpoint (`x_closure`) stays for every kind beside the lattice oracles
+(least closed node, greatest node reached by elementary steps), so the
+routes can be compared.
 """
+
+from functools import reduce
 
 import numpy as np
 
 from .spectrum import is_unramified, tensor_square
-from .linalg import kernel_mod
+from .linalg import howell_form, kernel_mod
+from .memo import memo
 from .ring import exact_log, is_prime
-from .structure import _nilpotent_mask
+from .structure import _nilpotent_mask, maximal_ideals, nilradical
 from .submodule import Subalgebra, Submodule, subring_generated
 
 X_KINDS = ("s", "u", "t")
+
+
+@memo
+def _squares_and_cubes(top):
+    """b^2 and b^3 for every b of top.elements_array(), formed once per ring:
+    the lattice oracles ask for witnesses over every node of the same top."""
+    arr = top.elements_array()
+    b2 = top.mul_rows(arr, arr)
+    b3 = top.mul_rows(b2, arr)
+    b2.flags.writeable = b3.flags.writeable = False
+    return b2, b3
 
 
 def _witness_mask(top, B, kind):
@@ -28,8 +52,7 @@ def _witness_mask(top, B, kind):
     """
     arr = top.elements_array()
     orders = top.np_orders
-    b2 = top.mul_rows(arr, arr)
-    b3 = top.mul_rows(b2, arr)
+    b2, b3 = _squares_and_cubes(top)
     if kind == "s":
         return B.contains_many(b2) & B.contains_many(b3)
     if kind == "u":
@@ -82,12 +105,22 @@ def x_closure(ext, kind):
         B = subring_generated(top, extra, over=B)
 
 
+def _sum(B, A):
+    """The span B + A, kept as a subalgebra: the callers add an ideal of
+    the top to a subring, which gives a subring."""
+    amb = B.ambient
+    return Subalgebra(amb, howell_form(A.hrows, amb.rank, amb.L, B.hrows))
+
+
 def seminormalization(ext):
-    return x_closure(ext, "s")
+    """The seminormalization R + J(S)."""
+    return _sum(ext.bottom, nilradical(ext.top))
 
 
 def t_closure(ext):
-    return x_closure(ext, "t")
+    """The t-closure, the intersection of the R + N over Max(S)."""
+    return reduce(lambda T, U: T.intersect(U),
+                  [_sum(ext.bottom, N) for N in maximal_ideals(ext.top)])
 
 
 def u_closure(ext):

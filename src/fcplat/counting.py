@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .closures import primitive_min_poly, x_closure
+from .closures import primitive_min_poly, t_closure
 from .memo import memo
 from .submodule import Subalgebra, subring_generated
 
@@ -108,8 +108,9 @@ def t_closure_node(lattice, low=None, high=None):
 
 @memo
 def _t_closure_in_top(lattice, low):
-    """The t-closure of low in the full top."""
-    return x_closure(lattice.upper(low), "t")
+    """The t-closure of low in the full top, the intersection of the
+    low + N over the maximal ideals N of the top."""
+    return t_closure(lattice.upper(low))
 
 
 def complement_count_lattice(lattice, low=None, high=None):

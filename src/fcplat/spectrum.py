@@ -9,13 +9,19 @@ primitive idempotent, and the local criteria for unramified and locally
 epimorphism cut S and S (x)_R S by f and f (x) f.  Everything here is
 computed exactly: lying-over pairs, residual field extensions, conductor
 support, localization at a maximal ideal of the bottom, the tensor square
-S (x)_R S by generators and relations, and the predicates built on it
-(epimorphism, unramified, locally epimorphism).
+S (x)_R S by generators and relations, and the predicates built on it.
+
+Two of those predicates need no tensor square: unramified is
+Omega_{S/R} = 0, one Howell form of the relations of Omega in S^n, and
+epimorphism is |S (x)_R S| = |S|, with that size read from one Howell form
+of the tensor square's relation rows.  The tensor-square routes (I = I^2
+for I the kernel of the codiagonal, the size of the built ring) stay as
+cross-checks.
 """
 
 import numpy as np
 
-from .linalg import kernel_mod, scale_rows
+from .linalg import howell_form, kernel_mod, scale_rows, span_size
 from .memo import memo
 from .ring import RingMorphism, build_ring, ring_from_generators
 from .structure import (
@@ -182,30 +188,38 @@ class TensorSquare:
         return Submodule.from_generators(self.ring, ker)
 
 
-@memo
-def tensor_square(ext):
-    """Present S (x)_R S by generators e_i (x) e_j and bilinearity relations."""
+def _tensor_relations(ext):
+    """The relation rows of S (x)_R S over its generators e_i (x) e_j, the
+    generator (i, j) at index i * n + j: additive orders and bilinearity
+    over R.  The group S (x)_R S is (Z/L)^(n^2) modulo their span."""
     S = ext.top
     n = S.rank
     k = n * n
-    L = S.L
-    C = S.npC
-
-    # generator e_i (x) e_j sits at index i * n + j
     eye = np.eye(n, dtype=np.int64)
-    # its additive order divides d_i and d_j
+    # the order of e_i (x) e_j divides d_i and d_j
     orders = np.stack([np.repeat(S.np_orders, n), np.tile(S.np_orders, n)], 1)
     order_rels = np.einsum("gt,gh->gth", orders, np.eye(k, dtype=np.int64))
     # bilinearity over R: (r e_i) (x) e_j = e_i (x) (r e_j) for r in a basis
     # of R; RE[r, i] = r e_i, and the row of (r, i, j) lives on (a, b)
     RE = S.mul_pairs(ext.bottom.basis, eye)
     bil = (np.einsum("ria,jb->rijab", RE, eye)
-           - np.einsum("rjb,ia->rijab", RE, eye)) % L
-    rels = np.vstack([order_rels.reshape(-1, k), bil.reshape(-1, k)])
+           - np.einsum("rjb,ia->rijab", RE, eye)) % S.L
+    return np.vstack([order_rels.reshape(-1, k), bil.reshape(-1, k)])
+
+
+@memo
+def tensor_square(ext):
+    """Present S (x)_R S by generators e_i (x) e_j and bilinearity relations."""
+    S = ext.top
+    n = S.rank
+    k = n * n
+    C = S.npC
+    eye = np.eye(n, dtype=np.int64)
     P = np.einsum("iau,jbv->ijabuv", C, C).reshape(k, k, k)
     one = np.outer(S.one, S.one).reshape(k)
     ring, to_new, lifts = build_ring(
-        rels, k, L, P, one, label=f"{S.label}(x){S.label}",
+        _tensor_relations(ext), k, S.L, P, one,
+        label=f"{S.label}(x){S.label}",
     )
     one_row = np.array(S.one, dtype=np.int64)
     left = RingMorphism(S, ring, to_new(np.kron(eye, one_row)), check=False)
@@ -219,15 +233,60 @@ def tensor_square(ext):
     return TensorSquare(ring, left, right, codiag)
 
 
+@memo
+def tensor_square_size(ext):
+    """|S (x)_R S| as L^(n^2) over the size of the span of the relation
+    rows of `tensor_square`: one Howell form, no ring built."""
+    L = ext.top.L
+    k = ext.top.rank ** 2
+    rels = _tensor_relations(ext) % L
+    span = howell_form(rels[rels.any(axis=1)].tolist(), k, L)
+    return L ** k // span_size(span, L)
+
+
 def is_epimorphism(ext):
     """R -> S is a ring epimorphism iff the codiagonal is an isomorphism,
     i.e. iff |S (x)_R S| = |S|."""
-    return tensor_square(ext).ring.size == ext.top.size
+    return tensor_square_size(ext) == ext.top.size
 
 
 @memo
 def is_unramified(ext):
-    """Primary criterion: I = I^2 for I the kernel of the codiagonal."""
+    """Is Omega_{S/R} = 0?  Omega_{S/R} is I/I^2 for I the kernel of the
+    codiagonal (Matsumura, Commutative Ring Theory, section 25), so this is
+    the criterion of `is_unramified_tensor` with no tensor square built.
+
+    Omega_{S/R} is the S-module on the de_i modulo three kinds of relation
+    rho, each kept as an n x n array whose row i is its coefficient at de_i:
+    the Leibniz rules d(e_i e_j) = e_i de_j + e_j de_i, d_i de_i = 0 (S^n
+    has exponent L, not d_i) and d(r) = 0 for r in a basis of R.  The
+    S-submodule they span is the additive span of the e_l * rho, and
+    Omega_{S/R} = 0 iff that is all of S^n: one Howell form.
+    """
+    S = ext.top
+    n = S.rank
+    L = S.L
+    C = S.npC
+    one = np.array(S.one, dtype=np.int64)
+    eye = np.eye(n, dtype=np.int64)
+    i, j = np.triu_indices(n)
+    m = np.arange(len(i))
+    # d(e_i e_j) = sum_k C[i, j, k] de_k, less e_i de_j and e_j de_i
+    leibniz = C[i, j][:, :, None] * one
+    leibniz[m, j] -= eye[i]
+    leibniz[m, i] -= eye[j]
+    orders = np.diag(S.np_orders)[:, :, None] * one
+    d_bottom = ext.bottom.basis_array()[:, :, None] * one
+    rels = np.concatenate([leibniz, orders, d_bottom]) % L
+    # e_l * rho, row i of rho times the multiplication matrix C[l] of e_l
+    rows = np.tensordot(rels, C, axes=(2, 1)).transpose(0, 2, 1, 3)
+    rows = scale_rows(rows.reshape(-1, n * n), np.tile(S.np_orders, n), L)
+    rows = rows[rows.any(axis=1)]
+    return span_size(howell_form(rows.tolist(), n * n, L), L) == S.size ** n
+
+
+def is_unramified_tensor(ext):
+    """Is I = I^2 for I the kernel of the codiagonal S (x)_R S -> S?"""
     ts = tensor_square(ext)
     I = ts.diagonal_kernel()
     T = ts.ring

@@ -7,8 +7,8 @@ closure oracles, chain coherence, support and separability facts),
 ``counting`` (complement counts, the lattice-size sum formula and the
 cardinality bounds), ``coclosures`` (existence criteria, localization
 compatibility and the interaction of co-closures with complements) and
-``unramified`` (tensor-square versus local-criterion agreement and closures
-built from unramifiedness).  ``all`` runs everything.
+``unramified`` (agreement of the Omega, tensor-square and local routes to
+unramified, and closures built from unramifiedness).  ``all`` runs everything.
 
 Chain-type equivalences are decided on Hasse edges: every Hasse edge extends
 to a maximal chain (downwards from its foot and upwards from its head), so
@@ -43,6 +43,9 @@ from .spectrum import (
     is_locally_epimorphism,
     is_unramified,
     is_unramified_local,
+    is_unramified_tensor,
+    tensor_square,
+    tensor_square_size,
 )
 from .structure import is_local, maximal_ideals
 from .submodule import (
@@ -340,7 +343,10 @@ def check_supports_agree(ctx):
 
 def check_no_proper_epimorphism(ctx):
     """A proper integral extension is never an epimorphism, hence never
-    both radicial and unramified."""
+    both radicial and unramified.  |S (x)_R S| is read two ways: from the
+    Howell span of the relation rows and from the built tensor square."""
+    if tensor_square_size(ctx.ext) != tensor_square(ctx.ext).ring.size:
+        return False
     if is_epimorphism(ctx.ext):
         return False
     if ctx.radicial == ctx.lat.top_node and is_unramified(ctx.ext):
@@ -349,12 +355,16 @@ def check_no_proper_epimorphism(ctx):
 
 
 def check_closure_oracles(ctx):
-    """Fixpoint closure = least closed node = elementary-reachability hull
-    for each witness kind."""
+    """For each witness kind, four routes agree: the reported closure (R +
+    J(S) for s, the intersection of the R + N for t, the witness fixpoint
+    for u), the witness fixpoint, the least closed node and the
+    elementary-reachability hull."""
     for kind, sub in (("s", ctx.plus), ("u", ctx.u), ("t", ctx.t)):
+        # the reported u-closure is the witness fixpoint itself
+        fixpoint = sub if kind == "u" else ctx.node(x_closure(ctx.ext, kind))
         least = x_closure_via_least_closed(ctx.lat, kind)
         hull = x_integral_hull(ctx.lat, kind)
-        if not (sub == ctx.node(least) == ctx.node(hull)):
+        if not (sub == fixpoint == ctx.node(least) == ctx.node(hull)):
             return False
     return True
 
@@ -805,8 +815,10 @@ def check_coclosures_localize(ctx):
 
 
 def check_unramified_routes(ctx):
-    """Tensor-square criterion equals the local fiber criterion."""
-    return is_unramified(ctx.ext) == is_unramified_local(ctx.ext)
+    """Three routes to unramified agree: Omega_{S/R} = 0, I = I^2 in the
+    tensor square, and the local fiber criterion."""
+    return (is_unramified(ctx.ext) == is_unramified_tensor(ctx.ext)
+            == is_unramified_local(ctx.ext))
 
 
 def check_omega_greatest_unramified(ctx):

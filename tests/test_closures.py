@@ -1,6 +1,8 @@
 import itertools
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fcplat.closures import (
     _min_poly,
@@ -21,10 +23,19 @@ from fcplat.closures import (
     x_integral_hull,
 )
 from fcplat.lattice import ExtensionLattice
-from fcplat.ring import galois_field, monogenic_quotient, prime_field, product_ring
+from fcplat.ring import (
+    FiniteRing,
+    galois_field,
+    monogenic_quotient,
+    prime_field,
+    product_ring,
+)
+from fcplat.specfile import parse_spec
 from fcplat.spectrum import Extension
 from fcplat.submodule import subring_generated
 from test_ring import scalar_add, scalar_mul, scalar_pow
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def prime_ext(S):
@@ -188,3 +199,73 @@ def test_primitive_element_is_the_first_generator(q, sub_q):
         if subring_generated(K, [v, *phi.rows]).size == K.size
     )
     assert primitive_min_poly(phi).tolist() == _min_poly(phi, first).tolist()
+
+
+# -- the seminormalization R + J(S) and the t-closure as meet of R + N ------
+
+
+def fixture_ext(name):
+    _, ext = parse_spec((FIXTURES / f"{name}.json").read_text())
+    return ext
+
+
+def mixed_product():
+    """F2[y]/(y^2) x F2 x F3 over its prime subring Z/6: J(S) is y x 0 x 0,
+    and every residue field is a prime field."""
+    F2, F3 = prime_field(2), prime_field(3)
+    R, _, _ = dual_numbers()
+    S, _ = product_ring([R, F2, F3])
+    return prime_ext(S)
+
+
+LINEAR_CLOSURE_CASES = {
+    "b5101_q2": lambda: fixture_ext("b5101_q2"),
+    "remark_1317": lambda: fixture_ext("remark_1317"),
+    "F256": lambda: prime_ext(galois_field(256)),
+    "F2[y]/(y^2)xF2xF3": mixed_product,
+}
+
+
+@pytest.mark.parametrize("name, plus_size, t_size", [
+    ("b5101_q2", 16, 16),
+    ("remark_1317", 16, 32),
+    ("F256", 2, 2),
+    ("F2[y]/(y^2)xF2xF3", 12, 24),
+])
+def test_linear_plus_and_t_closures_pins(name, plus_size, t_size):
+    ext = LINEAR_CLOSURE_CASES[name]()
+    plus, t = seminormalization(ext), t_closure(ext)
+    assert (plus.size, t.size) == (plus_size, t_size)
+    assert plus == x_closure(ext, "s") and t == x_closure(ext, "t")
+    assert plus.is_subring() and t.is_subring() and plus <= t
+
+
+def _closure_rings():
+    F2, F3, F4 = prime_field(2), prime_field(3), galois_field(4)
+    Z4 = FiniteRing((4,), (((1,),),), (1,), label="Z4")
+    dual, _, _ = dual_numbers()
+    cube, _, _ = monogenic_quotient(F2, 3, [F2.zero_vec()] * 3)
+    dual3, _, _ = monogenic_quotient(F3, 2, [F3.zero_vec()] * 2)
+    dual4, _, _ = monogenic_quotient(F4, 2, [F4.zero_vec()] * 2)
+    twisted, _, _ = monogenic_quotient(Z4, 2, [(0,), (2,)])
+    factor_lists = [
+        [F2, F2, F2], [dual, F2], [F4, F2], [F4, F4], [dual, dual],
+        [dual4], [cube, F3], [dual3, F2], [twisted, F3], [Z4, dual],
+        [galois_field(9), F3], [dual, F4, F3],
+    ]
+    return [product_ring(fs)[0] for fs in factor_lists]
+
+
+CLOSURE_RINGS = _closure_rings()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_linear_plus_and_t_closures_match_witness_fixpoints(data):
+    ring = data.draw(st.sampled_from(CLOSURE_RINGS))
+    element = st.tuples(*[st.integers(0, d - 1) for d in ring.orders])
+    ext = Extension(
+        ring, subring_generated(ring, data.draw(st.lists(element, max_size=2)))
+    )
+    assert seminormalization(ext) == x_closure(ext, "s")
+    assert t_closure(ext) == x_closure(ext, "t")

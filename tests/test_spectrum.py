@@ -18,7 +18,9 @@ from fcplat.spectrum import (
     is_locally_epimorphism,
     is_unramified,
     is_unramified_local,
+    is_unramified_tensor,
     tensor_square,
+    tensor_square_size,
 )
 from fcplat.structure import (
     max_ideal_idempotent_pairs,
@@ -288,3 +290,62 @@ def test_local_criteria_match_factor_rings_on_node_pairs():
         unramified.add(a)
         locally_epi.add(b)
     assert unramified == locally_epi == {True, False}
+
+
+# -- Omega_{S/R} = 0 and the tensor size by Howell forms -------------------
+
+
+def omega_case(name):
+    F2, F4 = prime_field(2), galois_field(4)
+    if name == "F256":
+        return prime_subring_extension(galois_field(256))
+    if name == "F4[y]/(y^2)":
+        S, _, _ = monogenic_quotient(F4, 2, [F4.zero_vec()] * 2)
+        return prime_subring_extension(S)
+    if name == "F2xF2":
+        return prime_subring_extension(product_ring([F2, F2])[0])
+    return route_case(name)
+
+
+@pytest.mark.parametrize("name, unramified, size", [
+    ("F256", True, 2 ** 64),  # F_256 (x) F_256 over F_2 is F_256^8
+    ("F4[y]/(y^2)", False, 2 ** 16),  # rank 4 over F_2, so rank 16
+    ("F2xF2", True, 16),  # (F2 x F2) (x) (F2 x F2) = F2^4
+    ("F4xF3", True, 48),  # over Z/6: (F4 (x)_F2 F4) x (F3 (x)_F3 F3)
+])
+def test_omega_route_and_tensor_size_pins(name, unramified, size):
+    ext = omega_case(name)
+    assert is_unramified(ext) == unramified
+    assert is_unramified_local(ext) == unramified
+    assert tensor_square_size(ext) == size
+    assert not is_epimorphism(ext)
+    if name != "F256":  # a rank-64 tensor square is left unbuilt
+        assert is_unramified_tensor(ext) == unramified
+        assert tensor_square(ext).ring.size == size
+
+
+def test_omega_route_on_an_epimorphism():
+    F9 = galois_field(9)
+    ext = Extension(F9, subring_generated(F9, F9.basis_vectors))
+    assert is_unramified(ext)
+    assert tensor_square_size(ext) == 9 and is_epimorphism(ext)
+
+
+def corpus_low_node_top_extensions(count):
+    """low <= node re-presented and node <= S in S, for every node of the
+    seed-0 entries c000 to c(count - 1)."""
+    for entry in generate_corpus(CorpusConfig(seed=0, count=count)):
+        lat = entry.lattice
+        for node in lat.nodes:
+            yield lat.sub_extension(lat.bottom, node)[0]
+            yield lat.upper(node)
+
+
+def test_unramified_routes_and_tensor_size_on_corpus_nodes():
+    verdicts = set()
+    for ext in corpus_low_node_top_extensions(10):
+        omega = is_unramified(ext)
+        assert omega == is_unramified_tensor(ext) == is_unramified_local(ext)
+        assert tensor_square_size(ext) == tensor_square(ext).ring.size
+        verdicts.add(omega)
+    assert verdicts == {True, False}

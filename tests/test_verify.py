@@ -1,5 +1,6 @@
 import pytest
 
+from fcplat import spectrum
 from fcplat.corpus import CorpusConfig, generate_corpus
 from fcplat.ring import galois_field, prime_field, product_ring
 from fcplat.lattice import ExtensionLattice
@@ -88,3 +89,23 @@ def test_coclosures_localize_enumerates_each_local_lattice_once(monkeypatch):
     monkeypatch.setattr(ExtensionLattice, "__init__", counted)
     assert check_coclosures_localize(ctx) is True
     assert len(built) == 2
+
+
+def test_run_suite_builds_at_most_two_tensor_squares_per_entry(monkeypatch):
+    # one for the entry's extension (radicial closure, the tensor routes of
+    # unramified, epimorphism and locally epimorphism) and one for the
+    # kappa-separable closure under the top; every other unramified and
+    # epimorphism verdict is read without a tensor square
+    built = []
+    init = spectrum.TensorSquare.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(spectrum.TensorSquare, "__init__", counting_init)
+    for entry in generate_corpus(CorpusConfig(seed=0, count=10)):
+        built.clear()
+        _, ok = run_suite([entry], "all")
+        assert ok
+        assert 1 <= len(built) <= 2, (entry.name, len(built))
