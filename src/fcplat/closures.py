@@ -17,6 +17,11 @@ The u-closure is the fixpoint of adjoining witnessed elements, and that
 fixpoint (`x_closure`) stays for every kind beside the lattice oracles
 (least closed node, greatest node reached by elementary steps), so the
 routes can be compared.
+
+The kappa-closures are read in S: a residual extension of R <= T is the
+pair k <= K of the images of R and T in a residue field F = S/N
+(`Extension.residual_extensions`), and the field routines work on such
+spans of F, with minimal polynomials by one kernel over F_p per degree.
 """
 
 from functools import reduce
@@ -28,7 +33,7 @@ from .linalg import howell_form, kernel_mod
 from .memo import memo
 from .ring import exact_log, is_prime
 from .structure import _nilpotent_mask, maximal_ideals, nilradical
-from .submodule import Subalgebra, Submodule, subring_generated
+from .submodule import Subalgebra, subring_generated
 
 X_KINDS = ("s", "u", "t")
 
@@ -44,48 +49,41 @@ def _squares_and_cubes(top):
     return b2, b3
 
 
-def _witness_mask(top, B, kind):
-    """Boolean mask over top.elements_array(): which b are witnessed over B.
+def witnessed_elements(top, B, kind):
+    """All b in S \\ B that are elementary over B for the given kind.
 
     A witness is r with b^2 - r b and b^3 - r b^2 both in B, where r = 0
-    (kind 's'), r = 1 (kind 'u') or r ranges over B (kind 't').
+    (kind 's'), r = 1 (kind 'u') or r ranges over B (kind 't').  Only the
+    b outside B are tested, and for kind 't' the b^3 - r b^2 only for the
+    pairs (b, r) whose b^2 - r b already lies in B.
     """
     arr = top.elements_array()
+    outside = np.flatnonzero(~B.contains_many(arr))
+    arr = arr[outside]
+    b2, b3 = (c[outside] for c in _squares_and_cubes(top))
     orders = top.np_orders
-    b2, b3 = _squares_and_cubes(top)
     if kind == "s":
-        return B.contains_many(b2) & B.contains_many(b3)
-    if kind == "u":
-        return B.contains_many((b2 - arr) % orders) & B.contains_many(
+        ok = B.contains_many(b2) & B.contains_many(b3)
+    elif kind == "u":
+        ok = B.contains_many((b2 - arr) % orders) & B.contains_many(
             (b3 - b2) % orders
         )
-    assert kind == "t"
-    Barr = B.elements_array()
-    mats = top.mul_matrices(Barr)
-    n = top.rank
-    out = np.zeros(len(arr), dtype=bool)
-    # chunk the b-axis so the pairwise (b, r) arrays stay small
-    chunk = max(1, 10**6 // max(1, B.size * n))
-    for lo in range(0, len(arr), chunk):
-        a = arr[lo:lo + chunk]
-        q2 = b2[lo:lo + chunk]
-        q3 = b3[lo:lo + chunk]
-        rb = top.mul_pairs(a, Barr, mats)
-        rb2 = top.mul_pairs(q2, Barr, mats)
-        v1 = (q2[:, None, :] - rb) % orders
-        v2 = (q3[:, None, :] - rb2) % orders
-        ok = B.contains_many(v1.reshape(-1, n)) & B.contains_many(
-            v2.reshape(-1, n)
-        )
-        out[lo:lo + chunk] = ok.reshape(rb.shape[:2]).any(axis=1)
-    return out
-
-
-def witnessed_elements(top, B, kind):
-    """All b in S \\ B that are elementary over B for the given kind."""
-    arr = top.elements_array()
-    mask = _witness_mask(top, B, kind) & ~B.contains_many(arr)
-    return [tuple(int(x) for x in row) for row in arr[mask]]
+    else:
+        assert kind == "t"
+        Barr = B.elements_array()
+        mats = top.mul_matrices(Barr)
+        ok = np.zeros(len(arr), dtype=bool)
+        # chunk the b-axis so the pairwise (b, r) arrays stay small
+        chunk = max(1, 10**6 // max(1, B.size * top.rank))
+        for lo in range(0, len(arr), chunk):
+            rb = top.mul_pairs(arr[lo:lo + chunk], Barr, mats)
+            v1 = (b2[lo:lo + chunk, None, :] - rb) % orders
+            hit = B.contains_many(v1.reshape(-1, top.rank))
+            i, j = np.divmod(np.flatnonzero(hit), len(Barr))
+            i += lo
+            v2 = (b3[i] - top.mul_rows(b2[i], Barr[j])) % orders
+            ok[i[B.contains_many(v2)]] = True
+    return [tuple(int(x) for x in row) for row in arr[ok]]
 
 
 def is_x_closed(ext, kind, bottom=None):
@@ -196,77 +194,74 @@ def radicial_closure(ext):
 
 
 def omega_closure(lattice):
-    """Greatest node T with R <= T unramified."""
-    return lattice.greatest(is_unramified)
+    """Greatest node T with R <= T unramified; T is presented as a ring."""
+    return lattice.greatest(
+        lambda T: is_unramified(lattice.sub_extension(lattice.bottom, T)[0])
+    )
 
 
-def primitive_min_poly(phi):
-    """Minimal polynomial over the source of phi of the first element that
-    generates the target field over the image of phi.
+def primitive_element(k, K):
+    """The first element of K, in lexicographic order, that generates K
+    over k, for subfields k <= K of one finite field.
 
-    With q = |source| and |target| = q^m, an element v generates the target
-    over the image iff it lies in no proper subfield containing the image,
-    that is iff v^(q^(m/r)) != v for every prime r dividing m; every
-    element is tested at once, in lexicographic order.
+    With q = |k| and |K| = q^m, an element v generates K over k iff it lies
+    in no proper subfield of K containing k, that is iff v^(q^(m/r)) != v
+    for every prime r dividing m; every element is tested at once.
     """
-    K = phi.target
-    q = phi.source.size
+    F = K.ambient
+    q = k.size
     m = exact_log(K.size, q)
     assert m is not None, "a field extension has q^m elements"
     X = K.elements_array()
     generates = np.ones(len(X), dtype=bool)
     for r in range(2, m + 1):
         if m % r == 0 and is_prime(r):
-            generates &= (K.pow_rows(X, q ** (m // r)) != X).any(axis=1)
-    return _min_poly(phi, X[generates.argmax()])
+            generates &= (F.pow_rows(X, q ** (m // r)) != X).any(axis=1)
+    return X[generates.argmax()]
 
 
-def is_separable_residual(phi):
-    """Is the finite field extension given by phi separable?
+def _min_poly(F, gens, v):
+    """The minimal polynomial X^d + sum_i c_i X^i of v in the field F over
+    the subfield spanned by the rows gens.
 
-    Checked honestly via the minimal polynomial of a primitive element and
-    its derivative (always separable for finite fields, but computed).
+    For d = 1, 2, ... one kernel over F_p of the products g * v^i (g in
+    gens, i < d) stacked on v^d: a kernel vector with last entry 1 holds
+    coordinates of the c_i over gens.  Returns them as a (d, len(gens))
+    array, row i for c_i; they are unique modulo the relations among the
+    gens, and any choice gives the same c_i.
     """
-    f = primitive_min_poly(phi)
-    fp = _derivative(f, phi.source)
-    return _poly_gcd_is_one(f, fp, phi.source)
-
-
-def _min_poly(phi, v):
-    """Minimal polynomial of v over the image of phi, coefficients in source.
-
-    Polynomials are int64 arrays whose row i is the coefficient of X^i.
-    """
-    k, K = phi.source, phi.target
-    powers = np.array([K.one], dtype=np.int64)
+    p = F.L
+    gens = np.asarray(gens, dtype=np.int64).reshape(-1, F.rank)
+    powers = np.array([F.one], dtype=np.int64)
     while True:
-        powers = np.vstack([powers, K.mul_rows(powers[-1], v)])
-        # find coefficients c_i in k with sum c_i v^i = v^d (least d wins)
-        sol = _solve_lin_comb(phi, powers[:-1], powers[-1])
-        if sol is not None:
-            # monic: X^d - sum sol[i] X^i
-            sol = np.array(sol, dtype=np.int64).reshape(-1, k.rank)
-            return np.vstack([(-sol) % k.np_orders, [k.one]])
+        powers = np.vstack([powers, F.mul_rows(powers[-1], v)])
+        rows = F.mul_pairs(powers[:-1], gens).reshape(-1, F.rank)
+        for a in kernel_mod(np.vstack([rows, powers[-1:]]).tolist(), F.rank, p):
+            if a[-1]:
+                c = np.array(a[:-1], dtype=np.int64) * pow(a[-1], -1, p) % p
+                return c.reshape(len(powers) - 1, len(gens))
 
 
-def _solve_lin_comb(phi, basis_powers, target):
-    """Coefficients c_i in the source field with sum phi(c_i)*b_i = target.
+def primitive_min_poly(k, K, gens):
+    """The minimal polynomial over k of `primitive_element(k, K)`, as
+    coordinates of its lower coefficients over the rows gens, which span k;
+    see `_min_poly`."""
+    return _min_poly(K.ambient, gens, primitive_element(k, K))
 
-    One kernel over F_p of the products phi(e_s)*b_i, e_s the source basis,
-    stacked on the target: a kernel vector with last entry -1 holds the
-    coordinates of the c_i, returned as one tuple per c_i.  `_min_poly`
-    solves only over powers that are independent over the source, where a
-    solution is unique.
+
+def is_separable_residual(k, K):
+    """Is the extension k <= K of subfields of one finite field separable?
+
+    Checked honestly via the minimal polynomial f of a primitive element
+    (always separable for finite fields, but computed): gcd(f, f') = 1,
+    with f' and the gcd taken in the ambient field, since a gcd does not
+    change under extension of scalars.
     """
-    k, K = phi.source, phi.target
-    p = K.L
-    rows = K.mul_pairs(basis_powers, phi.matrix).reshape(-1, K.rank)
-    for a in kernel_mod(np.vstack([rows, [target]]).tolist(), K.rank, p):
-        if a[-1]:
-            scale = (-pow(a[-1], -1, p)) % p
-            x = [(scale * c) % p for c in a[:-1]]
-            return [tuple(x[i:i + k.rank]) for i in range(0, len(x), k.rank)]
-    return None
+    F = K.ambient
+    gens = k.basis_array()
+    f = np.vstack([(primitive_min_poly(k, K, gens) @ gens) % F.np_orders,
+                   [F.one]])
+    return _poly_gcd_is_one(f, _derivative(f, F), F)
 
 
 def _derivative(f, k):
@@ -296,34 +291,39 @@ def _poly_gcd_is_one(f, g, k):
     return len(a) == 1
 
 
-def is_radicial_residual(phi):
-    """Is phi purely inseparable: every target element has a p-power in the image."""
-    K = phi.target
-    p = K.char
-    img = Submodule.from_generators(K, phi.matrix)
+def is_radicial_residual(k, K):
+    """Is the extension k <= K of subfields of one finite field purely
+    inseparable: every element of K has a p-power in k?"""
+    F = K.ambient
+    p = F.char
     X = K.elements_array()
-    ok = img.contains_many(X)
+    ok = k.contains_many(X)
     # v, v^p, v^(p^2), ... while the exponent stays within |K|
     e = p
     while e <= K.size and not ok.all():
-        X = K.pow_rows(X, p)
-        ok |= img.contains_many(X)
+        X = F.pow_rows(X, p)
+        ok |= k.contains_many(X)
         e *= p
     return bool(ok.all())
 
 
+def _greatest_residually(lattice, test):
+    """Greatest node T whose residual extensions k <= K all pass test, read
+    as pairs of subfields of the residue fields of S."""
+    ext = lattice.ext
+    return lattice.greatest(
+        lambda T: all(test(k, K) for k, K in ext.residual_extensions(T))
+    )
+
+
 def kappa_separable_closure(lattice):
     """Greatest node T with all residual extensions of R <= T separable."""
-    return lattice.greatest(
-        lambda e: all(map(is_separable_residual, e.residual_extensions()))
-    )
+    return _greatest_residually(lattice, is_separable_residual)
 
 
 def kappa_radicial_closure(lattice):
     """Greatest node T with all residual extensions of R <= T radicial."""
-    return lattice.greatest(
-        lambda e: all(map(is_radicial_residual, e.residual_extensions()))
-    )
+    return _greatest_residually(lattice, is_radicial_residual)
 
 
 def closure_report(lattice):

@@ -12,7 +12,8 @@ routes compute it:
     roots x of P.  It returns 0 when the residue fields on top are not all
     isomorphic.  For non-local R the count is the product of the local
     counts over the maximal ideals M supporting S/R.  Each local count is
-    read in S, with no localized or quotient ring built.
+    read in S, with no localized ring built and no ring presented for R/M:
+    P is solved over the images of R's basis in the residue field S/N.
 
 The sum formula states |[R, S]| is the sum of n[R', S'] over all pairs
 (R', S') with R <= R' <= t(R) <= S' <= S.
@@ -24,7 +25,8 @@ import numpy as np
 
 from .closures import primitive_min_poly, t_closure
 from .memo import memo
-from .submodule import Subalgebra, subring_generated
+from .structure import residue_field
+from .submodule import Subalgebra, Submodule, subring_generated
 
 
 def idealizer(ext, M_sub):
@@ -71,10 +73,17 @@ def _complement_count_local(ext, M):
         return 0
 
     # minimal polynomial over R/M of a primitive element of S/N_1, with
-    # R/M the image of R in S/N_1, its coefficients lifted into R
-    kR = ext.bottom_residue_field(tops[0])
-    lifts = (kR.lift @ ext.bottom.basis_array()) % S.np_orders
-    P = (primitive_min_poly(kR.to_ambient) @ lifts) % S.np_orders
+    # R/M the image of R in S/N_1, solved over the images of R's basis;
+    # each coefficient lifts into R as the same combination of that basis,
+    # and two lifts differ by an element of M, which leaves P(x) mod M alone
+    N = tops[0]
+    kN, projN, _ = residue_field(S, N)
+    R = ext.bottom.basis_array()
+    coords = primitive_min_poly(
+        ext.residue_image(N, ext.bottom), Submodule.whole(kN),
+        projN.apply_rows(R),
+    )
+    P = np.vstack([(coords @ R) % S.np_orders, [S.one]])
 
     # x + M is a root of P in A = R'/M iff P(x) lies in M; P(x) by Horner's
     # rule, for every x of R' at once

@@ -173,23 +173,6 @@ class ExtensionLattice:
         longest, shortest = self.path_lengths()
         return longest == shortest
 
-    def maximal_chains(self, limit=None):
-        succ = self._successors()
-        chains = []
-        stack = [[0]]
-        goal = len(self.nodes) - 1
-        while stack:
-            path = stack.pop()
-            last = path[-1]
-            if last == goal:
-                chains.append(path)
-                if limit is not None and len(chains) > limit:
-                    raise LatticeBudgetExceeded("too many maximal chains")
-                continue
-            for j in succ.get(last, []):
-                stack.append(path + [j])
-        return chains
-
     def interval(self, low, high):
         """Indices of nodes in [low, high], as a sorted list."""
         leq = self.leq()
@@ -203,12 +186,9 @@ class ExtensionLattice:
         return next((i for i in idxs if leq[i].issuperset(idxs)), None)
 
     def greatest(self, pred):
-        """The greatest node T with pred(R <= T), which must contain every
-        such node; nodes are sorted by size, so it is the last of them."""
-        good = [
-            i for i, n in enumerate(self.nodes)
-            if pred(self.sub_extension(self.bottom, n)[0])
-        ]
+        """The greatest node T with pred(T), which must contain every such
+        node; nodes are sorted by size, so it is the last of them."""
+        good = [i for i, n in enumerate(self.nodes) if pred(n)]
         leq = self.leq()
         assert all(good[-1] in leq[i] for i in good), (
             "qualifying nodes must have a greatest"

@@ -24,7 +24,6 @@ from .linalg import (
     howell_form,
     scale_rows,
     smith_presentation,
-    span_size,
 )
 from .memo import memo
 
@@ -254,14 +253,6 @@ class RingMorphism:
         """The image of one coefficient tuple, as a tuple."""
         return tuple(self.apply_rows(vec)[0].tolist())
 
-    def is_injective(self):
-        """Is the image, the Howell span of the basis images, as large as
-        the source?"""
-        tgt = self.target
-        rows = scale_rows(self.matrix, tgt.np_orders, tgt.L).tolist()
-        image = howell_form(rows, tgt.rank, tgt.L)
-        return span_size(image, tgt.L) == self.source.size
-
 
 def build_ring(rel_rows, k, L, P, one_vec, label="R", check=True):
     """Construct a ring from k generators, relations and generator products.
@@ -486,16 +477,11 @@ def _coordinates(ambient, aug, k, X):
 
 
 class SubringPresentation:
-    """A subset of an ambient ring re-presented as a ring of its own.
+    """A subset of an ambient ring re-presented as a ring of its own."""
 
-    Row j of `lift` holds coordinates of the j-th basis vector of `ring`
-    over the generators the presentation was built from.
-    """
-
-    def __init__(self, ring, to_ambient, lift, aug, k, to_new):
+    def __init__(self, ring, to_ambient, aug, k, to_new):
         self.ring = ring
         self.to_ambient = to_ambient
-        self.lift = lift
         self._aug = aug
         self._k = k
         self._to_new = to_new
@@ -543,4 +529,4 @@ def ring_from_generators(ambient, gens, one_vec, label=None, unital=None):
         unital = _tuple(one_vec) == ambient.one
     amb_rows = (lift @ G) % ambient.np_orders
     to_ambient = RingMorphism(ring, ambient, amb_rows, unital=unital)
-    return SubringPresentation(ring, to_ambient, lift, aug, k, to_new)
+    return SubringPresentation(ring, to_ambient, aug, k, to_new)

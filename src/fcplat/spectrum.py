@@ -3,13 +3,16 @@
 The bottom ring is a unital subalgebra of the top ring, and its ideals,
 idempotents and residue fields are read in S's coordinates: S is finite,
 hence integral, over R, so the maximal ideals of R are the N cap R for N
-maximal in S, and R/(N cap R) is the image of R in S/N.  Local pieces are
-read in S as well: the local factor of S at N is the span f*S for f its
-primitive idempotent, and the local criteria for unramified and locally
-epimorphism cut S and S (x)_R S by f and f (x) f.  Everything here is
-computed exactly: lying-over pairs, residual field extensions, conductor
-support, localization at a maximal ideal of the bottom, the tensor square
-S (x)_R S by generators and relations, and the predicates built on it.
+maximal in S, and R/(N cap R) is the image of R in S/N.  So a residual
+extension of R <= T, for any ring T between R and S, is a pair k <= K of
+subfields of one residue field S/N, the images of R and of T, and no residue
+ring is presented.  Local pieces are read in S as well: the local factor
+of S at N is the span f*S for f its primitive idempotent, and the local
+criteria for unramified and locally epimorphism cut S and S (x)_R S by f
+and f (x) f.  Everything here is computed exactly: lying-over pairs,
+residual field extensions, conductor support, localization at a maximal
+ideal of the bottom, the tensor square S (x)_R S by generators and
+relations, and the predicates built on it.
 
 Two of those predicates need no tensor square: unramified is
 Omega_{S/R} = 0, one Howell form of the relations of Omega in S^n, and
@@ -91,22 +94,23 @@ class Extension:
         return len(self.bottom_max_ideal_pairs()) == len(self.lying_over())
 
     @memo
-    def bottom_residue_field(self, N):
-        """R/(N cap R) as the image of R in S/N, presented from the images
-        of a basis of R; its `to_ambient` is the residual extension and its
-        `lift` rows, times that basis, lift its own basis into R."""
+    def residue_image(self, N, sub):
+        """The image of a subring sub of S in the residue field S/N: the
+        span of the projections of a basis of sub, a subfield of S/N
+        isomorphic to sub/(N cap sub)."""
         kN, projN, _ = residue_field(self.top, N)
-        gens = projN.apply_rows(self.bottom.basis_array())
-        return ring_from_generators(kN, gens, kN.one)
+        return Submodule.from_generators(
+            kN, projN.apply_rows(sub.basis_array())
+        )
 
-    def residual_extension(self, N):
-        """The induced field extension R/(N cap R) -> S/N as a morphism."""
-        return self.bottom_residue_field(N).to_ambient
-
-    @memo
-    def residual_extensions(self):
-        """The residual extensions at every maximal ideal of the top."""
-        return [self.residual_extension(N) for N in maximal_ideals(self.top)]
+    def residual_extensions(self, sub=None):
+        """The residual extensions of R <= sub (sub defaults to S), as pairs
+        (image of R, image of sub) of subfields of S/N, one per maximal
+        ideal N of S.  Every maximal ideal of sub is some N cap sub, so the
+        pairs cover each of them, with repeats."""
+        sub = Subalgebra.whole(self.top) if sub is None else sub
+        return [(self.residue_image(N, self.bottom), self.residue_image(N, sub))
+                for N in maximal_ideals(self.top)]
 
     def residual_sizes(self, N):
         """(|R/(N cap R)|, |S/N|) without building the quotients."""

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from fcplat.closures import primitive_min_poly
 from fcplat.counting import (
     complement_count_formula,
     complement_count_lattice,
@@ -22,8 +21,9 @@ from fcplat.ring import (
     ring_from_generators,
 )
 from fcplat.spectrum import Extension
-from fcplat.structure import maximal_ideals
+from fcplat.structure import maximal_ideals, residue_field
 from fcplat.submodule import Submodule, subring_generated
+from test_closures import presented_primitive_min_poly
 from test_spectrum import ROUTE_CASES, node_pair_extensions, route_case
 
 
@@ -50,6 +50,17 @@ def test_count_two_twisted_diagonals():
     assert t_node.size == 4
     assert complement_count_lattice(lat) == 2
     assert complement_count_formula(ext) == 2
+
+
+def test_count_three_twisted_diagonals_f8():
+    # F2 inside F8 x F8: the diagonal F8 and its two Frobenius twists, so
+    # the primitive element's minimal polynomial has degree 3
+    F8 = galois_field(8)
+    S, _ = product_ring([F8, F8])
+    ext = prime_ext(S)
+    assert complement_count_lattice(ExtensionLattice(ext)) == 3
+    assert complement_count_formula(ext) == 3
+    assert count_by_localized_rings(ext) == 3
 
 
 def test_count_zero_when_residues_differ():
@@ -113,8 +124,10 @@ def test_sum_formula_twisted_diagonals():
 
 def count_by_localized_rings(ext):
     """n[R, S] with each local count taken on R_M <= S_M re-presented as
-    rings, and the roots of P found in A = R'/M built by `quotient_ring`
-    from the idealizer R' re-presented as a ring."""
+    rings: R/M is a quotient of R re-presented as a ring, P comes from the
+    presented residual extension R/M -> S/N, and the roots of P are found
+    in A = R'/M built by `quotient_ring` from the idealizer R'
+    re-presented as a ring."""
     max_R = ext.bottom_maximal_ideals()
     if len(max_R) > 1:
         return math.prod(count_by_localized_rings(ext.localize_at(M)[0])
@@ -124,15 +137,19 @@ def count_by_localized_rings(ext):
     tops = maximal_ideals(S)
     if len({ext.residual_sizes(N) for N in tops}) != 1:
         return 0
-    kR = ext.bottom_residue_field(tops[0])
-    P = primitive_min_poly(kR.to_ambient)
+    Rp = ext.bottom.as_ring()
+    kR, _, lifts = quotient_ring(Rp.ring, Rp.from_ambient_rows(M.basis))
+    # the basis of R/M lifted into R, in S's coordinates
+    lifts = Rp.to_ambient.apply_rows(lifts)
+    _, projN, _ = residue_field(S, tops[0])
+    P = presented_primitive_min_poly(
+        RingMorphism(kR, projN.target, projN.apply_rows(lifts))
+    )
 
     pres = ring_from_generators(S, idealizer(ext, M).basis, S.one)
     A, projA, _ = quotient_ring(pres.ring, pres.from_ambient_rows(M.basis))
-    # R/M into A, through lifts of its basis to R
-    lifts = (kR.lift @ ext.bottom.basis_array()) % S.np_orders
     psi = RingMorphism(
-        kR.ring, A, projA.apply_rows(pres.from_ambient_rows(lifts))
+        kR, A, projA.apply_rows(pres.from_ambient_rows(lifts))
     )
     X = A.elements_array()
     acc = np.zeros_like(X)

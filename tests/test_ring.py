@@ -179,7 +179,7 @@ def test_dual_numbers_over_f2():
     check_ring_axioms(R)
     assert scalar_mul(R, t, t) == R.zero_vec()
     assert nilradical(R).contains(t)
-    assert embed.is_injective()
+    assert image_size(embed) == F2.size
     assert image_size(embed) < R.size
     assert not nilradical(R).contains(scalar_add(R, R.one, t))
 
@@ -229,7 +229,7 @@ def test_ring_from_generators_full_ring():
     gens = [tuple(1 if i == j else 0 for i in range(F4.rank)) for j in range(F4.rank)]
     pres = ring_from_generators(F4, gens, F4.one)
     assert pres.ring.size == 4
-    assert pres.to_ambient.is_injective()
+    assert image_size(pres.to_ambient) == pres.ring.size
     assert image_size(pres.to_ambient) == F4.size
     for v in F4.elements():
         c = pres.from_ambient_rows(v)[0]
@@ -243,7 +243,7 @@ def test_ring_from_generators_subring():
     diag = pack([(1,), (1,)])
     pres = ring_from_generators(S, [diag], S.one)
     assert pres.ring.size == 3
-    assert pres.to_ambient.is_injective()
+    assert image_size(pres.to_ambient) == pres.ring.size
     assert image_size(pres.to_ambient) < S.size
 
 

@@ -33,7 +33,6 @@ from fcplat.submodule import (
     ideal_generated,
     subring_generated,
 )
-from test_ring import image_size
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -57,9 +56,9 @@ def test_field_extension_f2_f4():
     (N,) = maximal_ideals(F4)
     small, big = ext.residual_sizes(N)
     assert (small, big) == (2, 4)
-    phi = ext.residual_extension(N)
-    assert phi.is_injective()
-    assert image_size(phi) < phi.target.size
+    ((k, K),) = ext.residual_extensions()
+    assert (k.size, K.size) == (small, big)
+    assert k <= K and K == Submodule.whole(K.ambient)
 
 
 def test_ramified_dual_numbers():
@@ -224,13 +223,12 @@ def test_bottom_in_top_coordinates_matches_standalone_bottom(name):
     for N in maximal_ideals(S):
         _, M = standalone[N.intersect(ext.bottom).key]
         k, _, lifts = residue_field(pres.ring, M)
-        phi = ext.residual_extension(N)
-        assert phi.source.size == k.size
-        # both images of R/M in S/N are the image of R
-        _, projN, _ = residue_field(S, N)
+        kR = ext.residue_image(N, ext.bottom)
+        assert kR.size == k.size
+        # the image of R in S/N is the image of R/M through the lifts
+        kN, projN, _ = residue_field(S, N)
         image = projN.apply_rows(to_amb.apply_rows(lifts))
-        assert (Submodule.from_generators(phi.target, phi.matrix)
-                == Submodule.from_generators(phi.target, image))
+        assert kR == Submodule.from_generators(kN, image)
 
 
 # -- the local criteria on local factors re-presented as rings -------------

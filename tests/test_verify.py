@@ -1,7 +1,11 @@
+import sys
+
 import pytest
 
-from fcplat import spectrum
+from fcplat import ring, spectrum
+from fcplat.closures import kappa_radicial_closure, kappa_separable_closure
 from fcplat.corpus import CorpusConfig, generate_corpus
+from fcplat.counting import complement_count_formula
 from fcplat.ring import galois_field, prime_field, product_ring
 from fcplat.lattice import ExtensionLattice
 from fcplat.spectrum import Extension
@@ -109,3 +113,32 @@ def test_run_suite_builds_at_most_two_tensor_squares_per_entry(monkeypatch):
         _, ok = run_suite([entry], "all")
         assert ok
         assert 1 <= len(built) <= 2, (entry.name, len(built))
+
+
+def test_kappa_closures_and_formula_count_present_no_ring(monkeypatch):
+    # residual extensions are pairs of subfields of S/N and the count's
+    # minimal polynomial is solved over the images of R's basis there, so
+    # neither kappa-closure nor the formula count presents a ring or
+    # re-presents a node's extension
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    present = counted(ring.ring_from_generators)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fcplat.") and hasattr(module, "ring_from_generators"):
+            monkeypatch.setattr(module, "ring_from_generators", present)
+    monkeypatch.setattr(ExtensionLattice, "sub_extension",
+                        counted(ExtensionLattice.sub_extension))
+    entries = generate_corpus(CorpusConfig(seed=0, count=10, max_size=128))
+    for entry in entries:
+        lat = ExtensionLattice(Extension(entry.ext.top, entry.ext.bottom))
+        calls.clear()
+        kappa_separable_closure(lat)
+        kappa_radicial_closure(lat)
+        complement_count_formula(lat.ext)
+        assert calls == [], (entry.name, calls)
