@@ -25,7 +25,7 @@ unwritable --json or --dot path included.
 import argparse
 import sys
 
-from .closures import closure_report, is_seminormal, is_t_closed, is_u_closed
+from .closures import closure_report, seminormalization, t_closure, u_closure
 from .coclosures import CoClosure, coclosure_report
 from .corpus import MIN_TOP_SIZE, CorpusConfig, generate_corpus
 from .counting import (
@@ -93,9 +93,9 @@ def cmd_closures(args):
             name: _node_info(lat, sub) for name, sub in closures.items()
         },
         "flags": {
-            "seminormal": is_seminormal(ext),
-            "t_closed": is_t_closed(ext),
-            "u_closed": is_u_closed(ext),
+            "seminormal": closures["plus"] == ext.bottom,
+            "t_closed": closures["t"] == ext.bottom,
+            "u_closed": closures["u"] == ext.bottom,
             "unramified": is_unramified(ext),
         },
         "node_count": lat.node_count(),
@@ -153,9 +153,9 @@ def cmd_classify(args):
             "infra_integral": ext.is_infra_integral(),
             "i_extension": ext.is_i_extension(),
             "unramified": is_unramified(ext),
-            "seminormal": is_seminormal(ext),
-            "t_closed": is_t_closed(ext),
-            "u_closed": is_u_closed(ext),
+            "seminormal": seminormalization(ext) == ext.bottom,
+            "t_closed": t_closure(ext) == ext.bottom,
+            "u_closed": u_closure(ext) == ext.bottom,
         },
         "node_count": lat.node_count(),
     }, EXIT_OK

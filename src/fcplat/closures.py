@@ -1,22 +1,43 @@
 """Closure operators on an extension R <= S.
 
+Every closure of `closure_report` is one node of [R, S], read by linear
+algebra on spans in S's coordinates; none builds a ring.
+
 The elementwise closures come from the quadratic witness polynomials
 p_r(X) = X^2 - r X: an element b of S is witnessed over a subring B when
 p_r(b) and b * p_r(b) both land in B, with r = 0 (seminormalization), r = 1
-(u-closure) or r ranging over B (t-closure).  Two of them are computed by
-linear algebra on spans, since S is finite, so integral over R, and its
-Jacobson radical J(S) is its nilradical:
+(u-closure) or r ranging over B (t-closure).  S is finite, so integral over
+R, and its Jacobson radical J(S) is its nilradical.  So each is a span:
 
   * the seminormalization is R + J(S): a subintegral T has T/J(T) = R/J(R),
     so T = R + J(T), and R + J(S) is a ring with R's residue fields;
   * the t-closure is the intersection of the R + N over the maximal ideals
     N of S: an infra-integral T takes every residue from R, so T <= R + N,
-    and the intersection is a ring with R's residue fields.
+    and the intersection is a ring with R's residue fields;
+  * the u-closure is R[Idem(S)] = sum_e R*e over the primitive idempotents
+    e of S.  Every idempotent is u-elementary over every B, since
+    e^2 - e = e^3 - e^2 = 0, so the u-closure holds them all.  Conversely,
+    let B >= R hold every idempotent of S and let b be u-elementary over B,
+    with c = b^2 - b.  Then B[b] = B + Bb and c*B[b] <= B, because
+    cb = b^3 - b^2 lies in B; so c lies in the conductor C = (B : B[b]), and
+    b is an idempotent mod C.  B[b] is finite, so a product of local rings,
+    and idempotents lift modulo any ideal: b = e mod C for an idempotent e
+    of B[b].  Both e and C lie in B, so b does, and B is u-closed.  Last, a
+    product of primitive idempotents is 0 or the idempotent itself, and they
+    sum to 1, so R[Idem(S)] = sum_e R*e.
 
-The u-closure is the fixpoint of adjoining witnessed elements, and that
-fixpoint (`x_closure`) stays for every kind beside the lattice oracles
-(least closed node, greatest node reached by elementary steps), so the
-routes can be compared.
+The witness fixpoint (`x_closure`) stays for every kind beside the lattice
+oracles (least closed node, greatest node reached by elementary steps), so
+verify can compare the routes.
+
+The omega-closure, the greatest node T with R <= T unramified, is decided
+on each node by the local criterion read in S (`is_unramified_local`).  The
+radicial closure, {x in S : x (x) 1 - 1 (x) x nilpotent in S (x)_R S}, is
+the greatest radicial node: injective on spectra with purely inseparable
+residual extensions.  The residue fields are finite, so perfect, and such
+residual extensions are isomorphisms; a radicial node is then subintegral,
+and the radicial closure is R + J(S).  `radicial_closure` computes it from
+the tensor square, as verify's second route.
 
 The kappa-closures are read in S: a residual extension of R <= T is the
 pair k <= K of the images of R and T in a residue field F = S/N
@@ -28,11 +49,16 @@ from functools import reduce
 
 import numpy as np
 
-from .spectrum import is_unramified, tensor_square
+from .spectrum import is_unramified_local, tensor_square
 from .linalg import howell_form, kernel_mod
 from .memo import memo
 from .ring import exact_log, is_prime
-from .structure import _nilpotent_mask, maximal_ideals, nilradical
+from .structure import (
+    _nilpotent_mask,
+    maximal_ideals,
+    nilradical,
+    primitive_idempotents,
+)
 from .submodule import Subalgebra, subring_generated
 
 X_KINDS = ("s", "u", "t")
@@ -70,18 +96,22 @@ def witnessed_elements(top, B, kind):
         )
     else:
         assert kind == "t"
+        n = top.rank
         Barr = B.elements_array()
         mats = top.mul_matrices(Barr)
+        # the matrix of multiplication by Barr[j] is block j of mats
+        blocks = mats.reshape(n, len(Barr), n).transpose(1, 0, 2)
         ok = np.zeros(len(arr), dtype=bool)
         # chunk the b-axis so the pairwise (b, r) arrays stay small
-        chunk = max(1, 10**6 // max(1, B.size * top.rank))
+        chunk = max(1, 10**6 // max(1, B.size * n))
         for lo in range(0, len(arr), chunk):
             rb = top.mul_pairs(arr[lo:lo + chunk], Barr, mats)
             v1 = (b2[lo:lo + chunk, None, :] - rb) % orders
-            hit = B.contains_many(v1.reshape(-1, top.rank))
+            hit = B.contains_many(v1.reshape(-1, n))
             i, j = np.divmod(np.flatnonzero(hit), len(Barr))
             i += lo
-            v2 = (b3[i] - top.mul_rows(b2[i], Barr[j])) % orders
+            rb2 = (b2[i, None, :] @ blocks[j])[:, 0]
+            v2 = (b3[i] - rb2) % orders
             ok[i[B.contains_many(v2)]] = True
     return [tuple(int(x) for x in row) for row in arr[ok]]
 
@@ -122,19 +152,11 @@ def t_closure(ext):
 
 
 def u_closure(ext):
-    return x_closure(ext, "u")
-
-
-def is_seminormal(ext):
-    return is_x_closed(ext, "s")
-
-
-def is_t_closed(ext):
-    return is_x_closed(ext, "t")
-
-
-def is_u_closed(ext):
-    return is_x_closed(ext, "u")
+    """The u-closure, the span of the R*e over the primitive idempotents e
+    of S."""
+    top = ext.top
+    prods = top.mul_pairs(ext.bottom.basis_array(), primitive_idempotents(top))
+    return Subalgebra.from_generators(top, prods)
 
 
 # -- lattice oracles ---------------------------------------------------
@@ -194,10 +216,9 @@ def radicial_closure(ext):
 
 
 def omega_closure(lattice):
-    """Greatest node T with R <= T unramified; T is presented as a ring."""
-    return lattice.greatest(
-        lambda T: is_unramified(lattice.sub_extension(lattice.bottom, T)[0])
-    )
+    """Greatest node T with R <= T unramified, by the local criterion."""
+    ext = lattice.ext
+    return lattice.greatest(lambda T: is_unramified_local(ext, T))
 
 
 def primitive_element(k, K):
@@ -327,13 +348,15 @@ def kappa_radicial_closure(lattice):
 
 
 def closure_report(lattice):
-    """All closure nodes of the extension, as a dict of Subalgebras."""
+    """All closure nodes of the extension, as a dict of Subalgebras; the
+    radicial closure is the seminormalization (see the module docstring)."""
     ext = lattice.ext
+    plus = seminormalization(ext)
     return {
-        "plus": seminormalization(ext),
+        "plus": plus,
         "t": t_closure(ext),
         "u": u_closure(ext),
-        "radicial": radicial_closure(ext),
+        "radicial": plus,
         "omega": omega_closure(lattice),
         "kappa_separable": kappa_separable_closure(lattice),
         "kappa_radicial": kappa_radicial_closure(lattice),

@@ -9,10 +9,14 @@ subfields of one residue field S/N, the images of R and of T, and no residue
 ring is presented.  Local pieces are read in S as well: the local factor
 of S at N is the span f*S for f its primitive idempotent, and the local
 criteria for unramified and locally epimorphism cut S and S (x)_R S by f
-and f (x) f.  Everything here is computed exactly: lying-over pairs,
-residual field extensions, conductor support, localization at a maximal
-ideal of the bottom, the tensor square S (x)_R S by generators and
-relations, and the predicates built on it.
+and f (x) f.  The local unramified criterion also takes a ring T between R
+and S (the `sub` argument): the maximal ideals of T are the Q = N cap T,
+and the local factor of T at Q is f*T for f the sum of the primitive
+idempotents of S at the N over Q (`Extension.max_ideal_pairs(T)`), so
+R <= T is decided in S with no T presented.  Everything here is computed
+exactly: lying-over pairs, residual field extensions, conductor support,
+localization at a maximal ideal of the bottom, the tensor square S (x)_R S
+by generators and relations, and the predicates built on it.
 
 Two of those predicates need no tensor square: unramified is
 Omega_{S/R} = 0, one Howell form of the relations of Omega in S^n, and
@@ -66,32 +70,33 @@ class Extension:
         return [(N, N.intersect(self.bottom)) for N in maximal_ideals(self.top)]
 
     @memo
-    def bottom_max_ideal_pairs(self):
-        """Pairs (e, P), P maximal in the bottom and e its primitive
-        idempotent, sorted by the key of P.
+    def max_ideal_pairs(self, sub=None):
+        """Pairs (f, Q), Q maximal in a subring sub of S (S by default) and
+        f its primitive idempotent, sorted by the key of Q.
 
-        The P are the distinct N cap R, and e is the sum of the primitive
-        idempotents of S at the N over P: e*S is the product of those local
-        factors of S.
+        The Q are the distinct N cap sub, and f is the sum of the primitive
+        idempotents of S at the N over Q: f*S is the product of those local
+        factors of S, and f*sub is the local factor of sub at Q.
         """
+        sub = Subalgebra.whole(self.top) if sub is None else sub
         over = {}
         for f, N in max_ideal_idempotent_pairs(self.top):
-            P = N.intersect(self.bottom)
-            over.setdefault(P.key, (P, []))[1].append(f)
+            Q = N.intersect(sub)
+            over.setdefault(Q.key, (Q, []))[1].append(f)
         out = []
         for key in sorted(over):
-            P, fs = over[key]
-            e = np.sum(fs, axis=0) % self.top.np_orders
-            out.append((tuple(e.tolist()), P))
+            Q, fs = over[key]
+            f = np.sum(fs, axis=0) % self.top.np_orders
+            out.append((tuple(f.tolist()), Q))
         return out
 
     def bottom_maximal_ideals(self):
         """The maximal ideals of the bottom, as subgroups of S."""
-        return [P for _, P in self.bottom_max_ideal_pairs()]
+        return [P for _, P in self.max_ideal_pairs(self.bottom)]
 
     def is_i_extension(self):
         """Is the lying-over map Spec(S) -> Spec(R) injective?"""
-        return len(self.bottom_max_ideal_pairs()) == len(self.lying_over())
+        return len(self.bottom_maximal_ideals()) == len(self.lying_over())
 
     @memo
     def residue_image(self, N, sub):
@@ -136,7 +141,7 @@ class Extension:
         """MSupp_R(upper/lower) for subgroups lower <= upper of S."""
         out = []
         top = self.top
-        for e, P in self.bottom_max_ideal_pairs():
+        for e, P in self.max_ideal_pairs(self.bottom):
             lo, up = (
                 Submodule.from_generators(top, top.mul_pairs(s.basis, e))
                 for s in (lower, upper)
@@ -158,7 +163,8 @@ class Extension:
         primitive idempotent attached to M.  Returns (extension, pres) where
         pres maps the localized top back into S.
         """
-        e = next(e for e, P in self.bottom_max_ideal_pairs() if P.key == M.key)
+        e = next(e for e, P in self.max_ideal_pairs(self.bottom)
+                 if P.key == M.key)
         top = self.top
         gens = top.mul_pairs(np.eye(top.rank, dtype=np.int64), e)
         pres = ring_from_generators(
@@ -302,17 +308,19 @@ def is_unramified_tensor(ext):
     )
 
 
-def is_unramified_local(ext):
-    """Cross-oracle: at every maximal ideal N of S, with e its primitive
-    idempotent, N cap R generates e*N = N cap eS, the maximal ideal of the
-    local factor eS; S*(e c) = eS*(e c), so that ideal is read in S.
-    Residual extensions of finite fields are separable, so nothing more is
-    asked."""
+def is_unramified_local(ext, sub=None):
+    """Is R <= sub unramified, sub a subring of S (S by default), by the
+    local criterion?  At every maximal ideal Q of sub, with f its primitive
+    idempotent, Q cap R must generate the maximal ideal f*Q of the local
+    factor f*sub: the span of sub * f(Q cap R) is f*Q.  Both are read in S,
+    and no ring is presented.  Residual extensions of finite fields are
+    separable, so nothing more is asked."""
     top = ext.top
-    for e, N in max_ideal_idempotent_pairs(top):
-        common = N.intersect(ext.bottom).basis
-        eN = Submodule.from_generators(top, top.mul_pairs(N.basis, e))
-        if ideal_generated(top, top.mul_pairs(common, e)) != eN:
+    basis = (Subalgebra.whole(top) if sub is None else sub).basis_array()
+    for f, Q in ext.max_ideal_pairs(sub):
+        common = top.mul_pairs(Q.intersect(ext.bottom).basis_array(), f)
+        fQ = Submodule.from_generators(top, top.mul_pairs(Q.basis_array(), f))
+        if Submodule.from_generators(top, top.mul_pairs(basis, common)) != fQ:
             return False
     return True
 

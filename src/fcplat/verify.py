@@ -24,6 +24,7 @@ import numpy as np
 from .closures import (
     closure_report,
     is_x_closed,
+    radicial_closure,
     x_closure,
     x_closure_via_least_closed,
     x_integral_hull,
@@ -47,7 +48,7 @@ from .spectrum import (
     tensor_square,
     tensor_square_size,
 )
-from .structure import is_local, maximal_ideals
+from .structure import is_local, maximal_ideals, primitive_idempotents
 from .submodule import (
     Subalgebra,
     Submodule,
@@ -85,7 +86,9 @@ class ExtContext:
 
     @cached_property
     def radicial(self):
-        return self.node(self.closures["radicial"])
+        """The radicial closure from the tensor square, the second route to
+        the reported one, which is the seminormalization."""
+        return self.node(radicial_closure(self.ext))
 
     @cached_property
     def omega(self):
@@ -181,12 +184,14 @@ def check_t_closed_iff_seminormal_and_u_closed(ctx):
 
 
 def check_u_closed_equivalences(ctx):
-    """u-closed <=> injective lying-over <=> seminormalization = t-closure."""
+    """u-closed <=> injective lying-over <=> seminormalization = t-closure
+    <=> every primitive idempotent of the top lies in the bottom."""
     R = ctx.lat.bottom
     a = ctx.u == R
     b = ctx.ext.is_i_extension()
     c = ctx.plus == ctx.t
-    return a == b == c
+    d = bool(R.contains_many(primitive_idempotents(ctx.ext.top)).all())
+    return a == b == c == d
 
 
 def check_u_closed_cover_types(ctx):
@@ -295,10 +300,8 @@ def check_t_from_ksep_and_krad(ctx):
 
 def check_ksep_to_top_radicial(ctx):
     """The kappa-separable closure sits radicially below the top."""
-    from .closures import radicial_closure
-
-    sub = ctx.sub(ctx.ksep, ctx.lat.top_node)
-    return radicial_closure(sub).size == sub.top.size
+    upper = ctx.lat.upper(ctx.ksep)
+    return radicial_closure(upper).size == upper.top.size
 
 
 def check_closure_tower(ctx):
@@ -356,12 +359,11 @@ def check_no_proper_epimorphism(ctx):
 
 def check_closure_oracles(ctx):
     """For each witness kind, four routes agree: the reported closure (R +
-    J(S) for s, the intersection of the R + N for t, the witness fixpoint
-    for u), the witness fixpoint, the least closed node and the
-    elementary-reachability hull."""
+    J(S) for s, the span of the R*e over the primitive idempotents e of S
+    for u, the intersection of the R + N for t), the witness fixpoint, the
+    least closed node and the elementary-reachability hull."""
     for kind, sub in (("s", ctx.plus), ("u", ctx.u), ("t", ctx.t)):
-        # the reported u-closure is the witness fixpoint itself
-        fixpoint = sub if kind == "u" else ctx.node(x_closure(ctx.ext, kind))
+        fixpoint = ctx.node(x_closure(ctx.ext, kind))
         least = x_closure_via_least_closed(ctx.lat, kind)
         hull = x_integral_hull(ctx.lat, kind)
         if not (sub == fixpoint == ctx.node(least) == ctx.node(hull)):
@@ -786,7 +788,7 @@ def check_coclosures_localize(ctx):
     ext = ctx.ext
     # one localized extension and lattice per maximal ideal, for both kinds
     local_lats = []
-    for e, M in ext.bottom_max_ideal_pairs():
+    for e, M in ext.max_ideal_pairs(ext.bottom):
         loc_ext, pres = ext.localize_at(M)
         local_lats.append((ExtensionLattice(loc_ext), pres, e))
     for key, kind in (("co_subintegral", "subintegral"),
@@ -823,7 +825,8 @@ def check_unramified_routes(ctx):
 
 def check_omega_greatest_unramified(ctx):
     """omega is unramified over the bottom and dominates every unramified
-    node."""
+    node, each node read by Omega of its presented extension: the second
+    route to the local criterion that `omega_closure` reads in S."""
     if not is_unramified(ctx.sub(ctx.lat.bottom, ctx.omega)):
         return False
     for n in ctx.lat.nodes:

@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from fcplat.cli import build_parser, main
+from fcplat.closures import is_x_closed
+from fcplat.specfile import parse_spec
+from test_verify import count_calls
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -44,6 +47,28 @@ def test_closures_command(capsys):
     sizes = {k: v["size"] for k, v in doc["closures"].items()}
     assert sizes["u"] == 16 and sizes["t"] == 32
     assert doc["flags"]["seminormal"] is False
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("closures", "flags"), ("classify", "extension"),
+])
+@pytest.mark.parametrize("spec", [B5101, R1317],
+                         ids=["b5101_q2", "remark_1317"])
+def test_closure_flags_test_no_witness_nor_tensor(capsys, monkeypatch,
+                                                   command, flags, spec):
+    # the flags compare a closure with the bottom: no witness is tested and
+    # no tensor square built; closures re-presents no node either, while
+    # classify does for its edge labels
+    calls = []
+    count_calls(monkeypatch, calls)
+    code, doc = run(capsys, command, spec)
+    assert code == 0
+    assert not {"witnessed_elements", "tensor_square"} & set(calls)
+    assert command == "classify" or "sub_extension" not in calls
+    _, ext = parse_spec(Path(spec).read_text())
+    for name, kind in (("seminormal", "s"), ("t_closed", "t"),
+                       ("u_closed", "u")):
+        assert doc[flags][name] == is_x_closed(ext, kind)
 
 
 def test_coclosures_command(capsys):

@@ -10,10 +10,8 @@ from fcplat.closures import (
     _min_poly,
     _poly_gcd_is_one,
     is_radicial_residual,
-    is_seminormal,
     is_separable_residual,
-    is_t_closed,
-    is_u_closed,
+    is_x_closed,
     kappa_radicial_closure,
     kappa_separable_closure,
     omega_closure,
@@ -43,7 +41,7 @@ from fcplat.ring import (
 )
 from fcplat.specfile import parse_spec
 from fcplat.spectrum import Extension
-from fcplat.structure import maximal_ideals, residue_field
+from fcplat.structure import idempotents, maximal_ideals, residue_field
 from fcplat.submodule import Submodule, subring_generated
 from test_ring import scalar_add, scalar_mul, scalar_neg, scalar_pow
 from test_spectrum import route_case
@@ -75,7 +73,7 @@ def test_field_extension_closures():
     assert seminormalization(ext) == ext.bottom
     assert t_closure(ext) == ext.bottom
     assert u_closure(ext) == ext.bottom
-    assert is_seminormal(ext) and is_t_closed(ext) and is_u_closed(ext)
+    assert all(is_x_closed(ext, kind) for kind in ("s", "t", "u"))
     assert radicial_closure(ext) == ext.bottom
     lat = ExtensionLattice(ext)
     assert omega_closure(lat) == lat.top_node
@@ -438,6 +436,25 @@ def test_linear_plus_and_t_closures_pins(name, plus_size, t_size):
     assert plus.is_subring() and t.is_subring() and plus <= t
 
 
+@pytest.mark.parametrize("name, u_size", [
+    ("b5101_q2", 2),  # local: the only idempotents are 0 and 1
+    ("remark_1317", 16),  # R x R inside R x R[x]/(...)
+    ("F256", 2),
+    ("F2[y]/(y^2)xF2xF3", 12),  # F2 x F2 x F3
+])
+def test_u_closure_pins(name, u_size):
+    # the span of the R*e is the ring R[Idem(S)] adjoined element by
+    # element, and the witness fixpoint
+    ext = LINEAR_CLOSURE_CASES[name]()
+    u = u_closure(ext)
+    assert u.size == u_size
+    S = ext.top
+    assert u == subring_generated(S, idempotents(S), over=ext.bottom)
+    assert u == x_closure(ext, "u")
+    if name == "remark_1317":
+        assert u.size == ext.bottom.size ** 2
+
+
 def _closure_rings():
     F2, F3, F4 = prime_field(2), prime_field(3), galois_field(4)
     Z4 = FiniteRing((4,), (((1,),),), (1,), label="Z4")
@@ -460,6 +477,9 @@ CLOSURE_RINGS = _closure_rings()
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_linear_plus_and_t_closures_match_witness_fixpoints(data):
+    # R + J(S), the meet of the R + N and the span of the R*e against the
+    # witness fixpoints for s, t and u, over products of mixed
+    # characteristic among others
     ring = data.draw(st.sampled_from(CLOSURE_RINGS))
     element = st.tuples(*[st.integers(0, d - 1) for d in ring.orders])
     ext = Extension(
@@ -467,6 +487,7 @@ def test_linear_plus_and_t_closures_match_witness_fixpoints(data):
     )
     assert seminormalization(ext) == x_closure(ext, "s")
     assert t_closure(ext) == x_closure(ext, "t")
+    assert u_closure(ext) == x_closure(ext, "u")
 
 
 # -- witnesses over S \ B against the full mask over every element of S ----

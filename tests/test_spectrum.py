@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fcplat.corpus import CorpusConfig, generate_corpus
+from fcplat.lattice import ExtensionLattice
 from fcplat.ring import (
     galois_field,
     monogenic_quotient,
@@ -204,7 +205,7 @@ def test_bottom_in_top_coordinates_matches_standalone_bottom(name):
             (to_amb.apply(e), M)
         for e, M in max_ideal_idempotent_pairs(pres.ring)
     }
-    pairs = ext.bottom_max_ideal_pairs()
+    pairs = ext.max_ideal_pairs(ext.bottom)
     assert [P.key for _, P in pairs] == sorted(standalone)
     assert all(e == standalone[P.key][0] for e, P in pairs)
 
@@ -346,4 +347,22 @@ def test_unramified_routes_and_tensor_size_on_corpus_nodes():
         assert omega == is_unramified_tensor(ext) == is_unramified_local(ext)
         assert tensor_square_size(ext) == tensor_square(ext).ring.size
         verdicts.add(omega)
+    assert verdicts == {True, False}
+
+
+def test_local_criterion_on_nodes_matches_presented_omega():
+    # R <= T decided in S on the node T, against Omega_{T/R} = 0 with T
+    # presented as a ring: every node of both fixtures and of the seed-0
+    # entries c000-c009 at max_size=128
+    lats = [ExtensionLattice(route_case(name))
+            for name in ("remark_1317", "b5101_q2")]
+    lats += [entry.lattice for entry in
+             generate_corpus(CorpusConfig(seed=0, count=10, max_size=128))]
+    verdicts = set()
+    for lat in lats:
+        for T in lat.nodes:
+            local = is_unramified_local(lat.ext, T)
+            sub, _ = lat.sub_extension(lat.bottom, T)
+            assert local == is_unramified(sub), (lat.ext, T)
+            verdicts.add(local)
     assert verdicts == {True, False}

@@ -1,13 +1,15 @@
 import sys
+from pathlib import Path
 
 import pytest
 
-from fcplat import ring, spectrum
-from fcplat.closures import kappa_radicial_closure, kappa_separable_closure
+from fcplat import closures, ring, spectrum
+from fcplat.closures import closure_report
 from fcplat.corpus import CorpusConfig, generate_corpus
 from fcplat.counting import complement_count_formula
 from fcplat.ring import galois_field, prime_field, product_ring
 from fcplat.lattice import ExtensionLattice
+from fcplat.specfile import parse_spec
 from fcplat.spectrum import Extension
 from fcplat.submodule import subring_generated
 from fcplat.verify import (
@@ -15,10 +17,19 @@ from fcplat.verify import (
     SUITES,
     check_coclosures_localize,
     check_multi_complement_blocks_cosub,
+    check_radicial_is_seminormalization,
     check_radicial_meet_omega_trivial,
     run_suite,
     suite_checks,
 )
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture_ext(name):
+    _, ext = parse_spec((FIXTURES / f"{name}.json").read_text())
+    return ext
 
 
 def small_corpus():
@@ -96,10 +107,10 @@ def test_coclosures_localize_enumerates_each_local_lattice_once(monkeypatch):
 
 
 def test_run_suite_builds_at_most_two_tensor_squares_per_entry(monkeypatch):
-    # one for the entry's extension (radicial closure, the tensor routes of
-    # unramified, epimorphism and locally epimorphism) and one for the
-    # kappa-separable closure under the top; every other unramified and
-    # epimorphism verdict is read without a tensor square
+    # one for the entry's extension (the tensor routes of the radicial
+    # closure, unramified, epimorphism and locally epimorphism) and one for
+    # the kappa-separable closure under the top, read in S; every other
+    # unramified and epimorphism verdict is read without a tensor square
     built = []
     init = spectrum.TensorSquare.__init__
 
@@ -115,12 +126,11 @@ def test_run_suite_builds_at_most_two_tensor_squares_per_entry(monkeypatch):
         assert 1 <= len(built) <= 2, (entry.name, len(built))
 
 
-def test_kappa_closures_and_formula_count_present_no_ring(monkeypatch):
-    # residual extensions are pairs of subfields of S/N and the count's
-    # minimal polynomial is solved over the images of R's basis there, so
-    # neither kappa-closure nor the formula count presents a ring or
-    # re-presents a node's extension
-    calls = []
+def count_calls(monkeypatch, calls):
+    """Append the name of each call of `ring_from_generators`,
+    `tensor_square`, `witnessed_elements` and
+    `ExtensionLattice.sub_extension` to calls, wherever fcplat imported
+    them."""
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -128,17 +138,45 @@ def test_kappa_closures_and_formula_count_present_no_ring(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    present = counted(ring.ring_from_generators)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("fcplat.") and hasattr(module, "ring_from_generators"):
-            monkeypatch.setattr(module, "ring_from_generators", present)
+    for fn in (ring.ring_from_generators, spectrum.tensor_square,
+               closures.witnessed_elements):
+        wrapped = counted(fn)
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("fcplat.")
+                    and getattr(module, fn.__name__, None) is fn):
+                monkeypatch.setattr(module, fn.__name__, wrapped)
     monkeypatch.setattr(ExtensionLattice, "sub_extension",
                         counted(ExtensionLattice.sub_extension))
-    entries = generate_corpus(CorpusConfig(seed=0, count=10, max_size=128))
-    for entry in entries:
-        lat = ExtensionLattice(Extension(entry.ext.top, entry.ext.bottom))
+
+
+def test_kappa_closures_and_formula_count_present_no_ring(monkeypatch):
+    # every closure is a span read in S (residual extensions are pairs of
+    # subfields of S/N, omega is the local criterion on each node, the
+    # radicial closure is R + J(S)) and the count's minimal polynomial is
+    # solved over the images of R's basis there, so neither the closures
+    # nor the formula count presents a ring, re-presents a node's
+    # extension, builds a tensor square or tests a witness
+    calls = []
+    count_calls(monkeypatch, calls)
+    exts = [fixture_ext("b5101_q2"), fixture_ext("remark_1317")]
+    exts += [entry.ext for entry in
+             generate_corpus(CorpusConfig(seed=0, count=10, max_size=128))]
+    for ext in exts:
+        lat = ExtensionLattice(Extension(ext.top, ext.bottom))
         calls.clear()
-        kappa_separable_closure(lat)
-        kappa_radicial_closure(lat)
+        closure_report(lat)
         complement_count_formula(lat.ext)
-        assert calls == [], (entry.name, calls)
+        assert calls == [], (ext, calls)
+
+
+def test_radicial_check_fails_on_a_wrong_tensor_route(monkeypatch):
+    # b5101_q2 is subintegral, so plus is the top; a radicial closure
+    # stuck at the bottom must be caught against it
+    ext = fixture_ext("b5101_q2")
+    lat = ExtensionLattice(ext)
+    ctx = ExtContext("b5101_q2", ext, lat)
+    assert ctx.plus == lat.top_node != lat.bottom
+    assert check_radicial_is_seminormalization(ctx) is True
+    monkeypatch.setattr("fcplat.verify.radicial_closure", lambda e: e.bottom)
+    ctx = ExtContext("b5101_q2", ext, lat)
+    assert check_radicial_is_seminormalization(ctx) is False
