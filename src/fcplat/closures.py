@@ -50,7 +50,7 @@ from functools import reduce
 import numpy as np
 
 from .spectrum import is_unramified_local, tensor_square
-from .linalg import howell_form, kernel_mod
+from .linalg import howell_contains, howell_form, kernel_mod, scale_rows
 from .memo import memo
 from .ring import exact_log, is_prime
 from .structure import (
@@ -185,7 +185,12 @@ def x_integral_hull(lattice, kind):
     frontier = [lattice.bottom]
     while frontier:
         B = frontier.pop()
-        for b in witnessed_elements(top, B, kind):
+        wit = np.array(witnessed_elements(top, B, kind), dtype=np.int64)
+        # B[b] depends only on b + B: one b per coset, told apart by its
+        # residual against B's Howell basis
+        V = scale_rows(wit, top.np_orders, top.L)
+        res = howell_contains(V, B.hrows, top.L)[1]
+        for b in wit[np.unique(res, axis=0, return_index=True)[1]]:
             U = subring_generated(top, [b], over=B)
             if U.key not in reached:
                 reached.add(U.key)

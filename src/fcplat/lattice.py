@@ -1,9 +1,26 @@
 """Exhaustive enumeration of the lattice [R, S] of intermediate subalgebras.
 
 Finite extensions here always have finitely many intermediate rings, so the
-lattice is built by breadth-first closure: adjoin one representative x of
-each additive coset to every known node T, T[x] being one Howell form of the
-span of T x^k.  Nodes are kept in order of size, then canonical key.
+lattice is found by a search that adjoins one element at a time, T[x]
+being one Howell form of the span of the T x^k.  Only the covers need to
+be reached:
+
+  * Cover lemma.  A cover T < U in [R, S] is a minimal extension, and its
+    crucial ideal (T : U) is maximal in T (Ferrand & Olivier, J. Algebra
+    16, 1970).  So it holds the Jacobson radical J(T) = T cap J(S), and
+    U J(T) <= U (T : U) <= T: U lies in the colon (T :_S J(T)).
+  * Completeness.  U = T[x] for any x in U \\ T, and T[x] depends only on
+    the coset x + T.  So from each node T the search adjoins one x per
+    coset of T inside (T :_S J(T)).  Every node U other than R covers some
+    smaller node T, which by induction on size the search reaches; then it
+    reaches U from T.  Every ring it builds contains R, so it finds exactly
+    the nodes.
+  * Reduced vectors.  The vectors already reduced against T's Howell basis
+    (an entry below the pivot at each pivot column) meet every coset of T
+    exactly once (`Submodule.coset_representatives`), so no element of T
+    is listed.
+
+Nodes are kept in order of size, then canonical key.
 """
 
 import os
@@ -12,6 +29,7 @@ import numpy as np
 
 from .memo import memo
 from .spectrum import Extension
+from .structure import nilradical
 from .submodule import Subalgebra, subring_generated
 
 DEFAULT_MAX_NODES = 10**6
@@ -46,24 +64,20 @@ def enumerate_interval(ambient, bottom, max_nodes=None):
     if max_nodes is None:
         max_nodes = _max_nodes_default()
     top = Subalgebra.whole(ambient)
-    top_elems = ambient.elements_array()
-    # the lexicographic index of an element: mixed radix over the orders
-    radix = np.cumprod((1,) + ambient.orders[:0:-1])[::-1]
+    N = nilradical(ambient)
     seen = {bottom.key: bottom}
     frontier = [bottom]
     while frontier:
         T = frontier.pop()
-        T_elems = T.elements_array()
-        covered = np.zeros(ambient.size, dtype=bool)
-        covered[T_elems @ radix] = True
-        while True:
-            # the least element of S outside the cosets of T seen so far
-            i = int(covered.argmin())
-            if covered[i]:
-                break
-            x = top_elems[i]
+        # the zero row stands for T itself
+        reps = T.coset_representatives()[1:]
+        J = T.intersect(N)
+        if J.hrows:
+            prods = ambient.mul_pairs(reps, J.basis_array())
+            inside = T.contains_many(prods.reshape(-1, ambient.rank))
+            reps = reps[inside.reshape(prods.shape[:2]).all(axis=1)]
+        for x in reps:
             U = subring_generated(ambient, [x], over=T)
-            covered[((x + T_elems) % ambient.np_orders) @ radix] = True
             if U.key not in seen:
                 if len(seen) >= max_nodes:
                     raise LatticeBudgetExceeded(

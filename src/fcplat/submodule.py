@@ -97,6 +97,26 @@ class Submodule:
         arr.flags.writeable = False
         return arr
 
+    def coset_representatives(self):
+        """One member of each coset of the span in the ambient ring, as
+        unscaled int64 rows, the zero row first.
+
+        They are the vectors already reduced against the Howell basis: at
+        the pivot column j of each Howell row an entry in [0, p_j), and any
+        entry elsewhere.  Two of them never differ by a member: at the
+        first column where they differ, a member is a multiple of the
+        pivot there, or zero off the pivots.  There are |S| / |span| of
+        them, so each coset holds exactly one.  Unscaled, a pivot column j
+        ranges over [0, p_j / (L / d_j)) and any other column over [0, d_j),
+        listed by one mixed-radix walk.
+        """
+        amb = self.ambient
+        radix = list(amb.orders)
+        for row in self.hrows:
+            j = next(i for i, x in enumerate(row) if x)
+            radix[j] = row[j] // (amb.L // radix[j])
+        return np.indices(radix, dtype=np.int64).reshape(amb.rank, -1).T
+
     def elements(self):
         """Frozenset of all member coefficient tuples."""
         return frozenset(map(tuple, self.elements_array().tolist()))
