@@ -36,7 +36,7 @@ from .counting import (
 )
 from .exports import export_dot, export_json, lattice_report
 from .lattice import ExtensionLattice, InvalidNodeBudget, LatticeBudgetExceeded
-from .minimal import edge_labels
+from .minimal import NotMinimalError, edge_labels
 from .specfile import SpecError, parse_spec
 from .spectrum import is_unramified
 from .verify import SUITES, run_suite
@@ -314,7 +314,7 @@ def main(argv=None):
     except (SpecError, LatticeBudgetExceeded, InvalidNodeBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as exc:
+    except (AssertionError, NotMinimalError) as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     sys.stdout.write(text)

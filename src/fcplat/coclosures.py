@@ -58,6 +58,7 @@ def co_atom_certificate(lattice, kind, qualifying):
     rules out the co-infra-integral closure.  Ramified co-atoms qualify for
     both kinds and decomposed ones for the infra-integral kind, so keeping
     to the qualifying nodes of an interval [U, S] loses no such pair in it.
+    Crucial keys are spans of S, so keys of different co-atoms compare.
     Returns (shape, i, j) or None.
     """
     top_i = len(lattice.nodes) - 1

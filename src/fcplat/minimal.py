@@ -1,37 +1,42 @@
 """Classification of minimal (covering) extensions of finite rings.
 
-For finite rings every minimal extension A < B is integral, the conductor
-M = (A : B) is a maximal ideal of A, and exactly one of three shapes occurs:
+For finite rings every minimal extension T < U is integral, its crucial
+ideal C = (T : U) is a maximal ideal of T (Ferrand & Olivier, J. Algebra
+16, 1970), and exactly one of three shapes occurs:
 
-  inert      -- M stays maximal in B and A/M -> B/M is a minimal field
+  inert      -- C stays maximal in U and T/C -> U/C is a minimal field
                 extension (prime degree, for finite fields);
-  decomposed -- two maximal ideals of B meet A in M, M = N1 cap N2, and both
-                residual maps are isomorphisms; equivalently B = A[q] with
-                q^2 - q in M;
-  ramified   -- a unique maximal ideal N sits over M with N^2 <= M < N,
-                B/M is 2-dimensional over A/M and A/M -> B/N is an
-                isomorphism; equivalently B = A[q] with q^2 in M.
+  decomposed -- two maximal ideals Q1, Q2 of U meet T in C, C = Q1 cap Q2,
+                and both residual maps are isomorphisms; equivalently
+                U = T[q] with q^2 - q in C;
+  ramified   -- a unique maximal ideal Q of U sits over C with Q^2 <= C < Q,
+                U/C is 2-dimensional over T/C and T/C -> U/Q is an
+                isomorphism; equivalently U = T[q] with q^2 in C.
 
-All clauses are checked, not just a discriminating test, and for the
-decomposed and ramified shapes the least witness q is recorded.
+T and U are subrings of the top S of an extension, and everything is read
+in S's coordinates with no ring presented.  C is the one maximal ideal Q
+of T with Q U <= T: then Q <= (T : U), a proper ideal, so Q = (T : U).  The
+maximal ideals of T and U are the N cap T and N cap U for N maximal in S
+(`Extension.max_ideal_pairs`), so those over C are the Q' of U with
+Q' cap T = C.  All clauses of the shape found are checked, and a failed one
+raises NotMinimalError.  For the decomposed and ramified shapes a witness
+q is recorded: the idempotent of U at Q1, or the first basis row of Q
+outside T.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .memo import memo
 from .ring import exact_log, is_prime
-from .structure import maximal_ideals
-from .submodule import Submodule
+from .submodule import Subalgebra
 
 
 @dataclass
 class MinimalClassification:
     kind: str  # 'inert' | 'decomposed' | 'ramified'
-    crucial_key: tuple  # canonical key of (A : B) inside the B-presentation
+    crucial_key: tuple  # canonical key of (T : U), a span of S
     residual_degree: int
-    witness: tuple | None  # coefficients in the B-presentation, or None
+    witness: tuple | None  # an element of U \ T in S's coordinates, or None
 
     @property
     def short(self):
@@ -42,82 +47,71 @@ class NotMinimalError(ValueError):
     pass
 
 
-def classify_minimal(ext):
-    """Classify a minimal extension given as an Extension A <= B.
+def classify_minimal(ext, low=None, high=None):
+    """Classify the minimal extension low < high of subrings of ext.top,
+    low defaulting to the bottom and high to the whole top.
 
-    Raises NotMinimalError when the defining clauses of all three shapes
-    fail (callers pass covering pairs of a lattice, which are minimal).
+    Raises NotMinimalError when a defining clause of the shape fails
+    (callers pass covering pairs of a lattice, which are minimal).
     """
-    B = ext.top
-    A = ext.bottom
-    C = ext.conductor_ideal()
-    if C.key not in {P.key for P in ext.bottom_maximal_ideals()}:
-        raise NotMinimalError("conductor is not maximal in the bottom ring")
-    q_res = A.size // C.size  # |A/M|
-    over = [N for N in maximal_ideals(B) if C <= N]
-    checks = []
+    S = ext.top
+    T = ext.bottom if low is None else low
+    U = Subalgebra.whole(S) if high is None else high
+    UB = U.basis_array()
+    C = next((Q for _, Q in ext.max_ideal_pairs(T)
+              if T.contains_many(S.mul_pairs(Q.basis_array(), UB)
+                                 .reshape(-1, S.rank)).all()), None)
+    if C is None:
+        raise NotMinimalError("no maximal ideal Q of the bottom has Q U <= T")
+    q = T.size // C.size  # |T/C|
+    over = [(f, Q) for f, Q in ext.max_ideal_pairs(U) if Q.intersect(T) == C]
 
-    # inert: C itself is maximal in B, minimal residual field extension
-    if any(N.key == C.key for N in over):
-        deg = exact_log(B.size // C.size, q_res)
-        if deg is not None and is_prime(deg):
-            N = next(N for N in over if N.key == C.key)
-            assert ext.residue_image(N, A).size == q_res
-            checks.append(MinimalClassification("inert", C.key, deg, None))
+    if any(Q == C for _, Q in over):
+        deg = exact_log(U.size // C.size, q)
+        if deg is None or not is_prime(deg):
+            raise NotMinimalError("inert step of no prime residual degree")
+        return MinimalClassification("inert", C.key, deg, None)
 
-    # decomposed: exactly two maximal ideals over M, M = N1 cap N2,
-    # both residual maps isomorphisms
     if len(over) == 2:
-        N1, N2 = over
-        if N1.intersect(N2) == C:
-            r1 = ext.residual_sizes(N1)
-            r2 = ext.residual_sizes(N2)
-            if r1[0] == r1[1] and r2[0] == r2[1]:
-                w = _find_witness(ext, C, shifted=True)
-                assert w is not None, "decomposed shape needs q with q^2 - q in M"
-                checks.append(
-                    MinimalClassification("decomposed", C.key, 1, w)
-                )
+        (f1, Q1), (_, Q2) = over
+        if Q1.intersect(Q2) != C or any(U.size // Q.size != q
+                                         for _, Q in over):
+            raise NotMinimalError("decomposed clauses fail")
+        w = _witness(ext, T, U, C, f1, shifted=True)
+        return MinimalClassification("decomposed", C.key, 1, w)
 
-    # ramified: unique N over M, N^2 <= M < N, dim 2 residue algebra,
-    # isomorphic residual field
-    if len(over) == 1 and over[0].key != C.key:
-        N = over[0]
-        NB = N.basis_array()
-        N2 = Submodule.from_generators(B, B.mul_pairs(NB, NB))
-        if N2 <= C:
-            big = B.size // C.size
-            rs = ext.residual_sizes(N)
-            if big == q_res**2 and rs[0] == rs[1]:
-                w = _find_witness(ext, C, shifted=False)
-                assert w is not None, "ramified shape needs q with q^2 in M"
-                checks.append(MinimalClassification("ramified", C.key, 2, w))
-
-    if len(checks) != 1:
-        raise NotMinimalError(
-            f"extension matches {len(checks)} minimal shapes, expected exactly 1"
+    if len(over) == 1:
+        Q = over[0][1]
+        QB = Q.basis_array()
+        if not (C.contains_many(S.mul_pairs(QB, QB).reshape(-1, S.rank)).all()
+                and U.size // C.size == q * q and U.size // Q.size == q):
+            raise NotMinimalError("ramified clauses fail")
+        # Q cap T = C < Q, so some basis row of Q lies outside T
+        w = QB[~T.contains_many(QB)][0]
+        return MinimalClassification(
+            "ramified", C.key, 2, _witness(ext, T, U, C, w, shifted=False)
         )
-    return checks[0]
 
-
-def _find_witness(ext, C, shifted):
-    """Least q in B \\ A with q^2 - q (shifted) or q^2 (not) in the conductor."""
-    B = ext.top
-    arr = B.elements_array()
-    val = B.mul_rows(arr, arr)
-    if shifted:
-        val = (val - arr) % B.np_orders
-    # elements_array is in lexicographic order, so the first hit is least
-    hits = np.flatnonzero(
-        ~ext.bottom.contains_many(arr) & C.contains_many(val)
+    raise NotMinimalError(
+        f"{len(over)} maximal ideals of the top lie over the crucial ideal"
     )
-    return tuple(arr[hits[0]].tolist()) if len(hits) else None
+
+
+def _witness(ext, T, U, C, w, shifted):
+    """w as a tuple, once checked to lie in U \\ T with w^2 - w (shifted)
+    or w^2 (not) in C."""
+    S = ext.top
+    val = S.mul_rows(w, w)
+    if shifted:
+        val = (val - w) % S.np_orders
+    if not (U.contains(w) and not T.contains(w) and C.contains_many(val)[0]):
+        raise NotMinimalError("the witness fails its defining clause")
+    return tuple(int(x) for x in w)
 
 
 def classify_cover(lattice, i, j):
     """Classify the covering pair nodes[i] < nodes[j] of a lattice."""
-    ext, _ = lattice.sub_extension(lattice.nodes[i], lattice.nodes[j])
-    return classify_minimal(ext)
+    return classify_minimal(lattice.ext, lattice.nodes[i], lattice.nodes[j])
 
 
 @memo

@@ -37,7 +37,7 @@ from .counting import (
 )
 from .lattice import ExtensionLattice, enumerate_interval
 from .memo import memo
-from .minimal import edge_labels
+from .minimal import NotMinimalError, edge_labels
 from .ring import exact_log, quotient_ring
 from .spectrum import (
     is_epimorphism,
@@ -953,7 +953,7 @@ def run_suite(entries, suite):
             st = stats[name]
             try:
                 result = fn(ctx)
-            except AssertionError as exc:
+            except (AssertionError, NotMinimalError) as exc:
                 result = False
                 st.failures.append(f"{entry.name}: {exc}")
             if result is None:

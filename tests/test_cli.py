@@ -57,14 +57,14 @@ def test_closures_command(capsys):
 def test_closure_flags_test_no_witness_nor_tensor(capsys, monkeypatch,
                                                    command, flags, spec):
     # the flags compare a closure with the bottom: no witness is tested and
-    # no tensor square built; closures re-presents no node either, while
-    # classify does for its edge labels
+    # no tensor square built; neither command re-presents a node, classify's
+    # edge labels being read in S too
     calls = []
     count_calls(monkeypatch, calls)
     code, doc = run(capsys, command, spec)
     assert code == 0
     assert not {"witnessed_elements", "tensor_square"} & set(calls)
-    assert command == "classify" or "sub_extension" not in calls
+    assert "sub_extension" not in calls
     _, ext = parse_spec(Path(spec).read_text())
     for name, kind in (("seminormal", "s"), ("t_closed", "t"),
                        ("u_closed", "u")):

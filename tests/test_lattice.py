@@ -1,9 +1,11 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fcplat import lattice
+from fcplat import lattice, minimal
+from fcplat.cli import main
 from fcplat.corpus import CorpusConfig, generate_corpus
 from fcplat.lattice import (
     ExtensionLattice,
@@ -11,13 +13,27 @@ from fcplat.lattice import (
     enumerate_interval,
 )
 from fcplat.linalg import howell_contains, scale_rows
-from fcplat.minimal import classify_minimal, edge_labels
-from fcplat.ring import galois_field, monogenic_quotient, prime_field, product_ring
+from fcplat.minimal import (
+    MinimalClassification,
+    NotMinimalError,
+    classify_minimal,
+    edge_labels,
+)
+from fcplat.ring import (
+    exact_log,
+    galois_field,
+    is_prime,
+    monogenic_quotient,
+    prime_field,
+    product_ring,
+)
 from fcplat.specfile import parse_spec
 from fcplat.spectrum import Extension
-from fcplat.structure import nilradical
+from fcplat.structure import maximal_ideals, nilradical
 from fcplat.submodule import Submodule, subring_generated
+from fcplat.verify import run_suite
 from test_ring import scalar_mul
+from test_verify import count_calls
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -303,3 +319,133 @@ def test_cover_search_lists_no_node_elements(monkeypatch):
 
     monkeypatch.setattr(Submodule, "elements_array", refuse)
     assert len(enumerate_interval(ext.top, ext.bottom)) == TOPS["F2[y]/(y^8)"][1]
+
+
+# -- the edge classifier in S against the presented classifier --------------
+
+
+def classify_minimal_reference(ext):
+    """Classify a minimal extension A <= B with B presented as a ring: the
+    conductor (A : B) from B's element list, the maximal ideals of B, and
+    the least witness q in B \\ A.  The crucial key and the witness are in
+    B's coordinates."""
+    B = ext.top
+    A = ext.bottom
+    C = ext.conductor_ideal()
+    if C.key not in {P.key for P in ext.bottom_maximal_ideals()}:
+        raise NotMinimalError("conductor is not maximal in the bottom ring")
+    q_res = A.size // C.size
+    over = [N for N in maximal_ideals(B) if C <= N]
+    checks = []
+    if any(N.key == C.key for N in over):
+        deg = exact_log(B.size // C.size, q_res)
+        if deg is not None and is_prime(deg):
+            checks.append(MinimalClassification("inert", C.key, deg, None))
+    if len(over) == 2:
+        N1, N2 = over
+        if N1.intersect(N2) == C:
+            r1 = ext.residual_sizes(N1)
+            r2 = ext.residual_sizes(N2)
+            if r1[0] == r1[1] and r2[0] == r2[1]:
+                w = _least_witness(ext, C, shifted=True)
+                checks.append(MinimalClassification("decomposed", C.key, 1, w))
+    if len(over) == 1 and over[0].key != C.key:
+        N = over[0]
+        NB = N.basis_array()
+        if Submodule.from_generators(B, B.mul_pairs(NB, NB)) <= C:
+            rs = ext.residual_sizes(N)
+            if B.size // C.size == q_res**2 and rs[0] == rs[1]:
+                w = _least_witness(ext, C, shifted=False)
+                checks.append(MinimalClassification("ramified", C.key, 2, w))
+    if len(checks) != 1:
+        raise NotMinimalError(f"{len(checks)} minimal shapes match")
+    return checks[0]
+
+
+def _least_witness(ext, C, shifted):
+    """Least q in B \\ A with q^2 - q (shifted) or q^2 (not) in C."""
+    B = ext.top
+    arr = B.elements_array()
+    val = B.mul_rows(arr, arr)
+    if shifted:
+        val = (val - arr) % B.np_orders
+    hits = np.flatnonzero(~ext.bottom.contains_many(arr) & C.contains_many(val))
+    assert len(hits), "a decomposed or ramified step has a witness"
+    return tuple(arr[hits[0]].tolist())
+
+
+def assert_edges_match_reference(lat):
+    S = lat.ambient
+    for (i, j), c in edge_labels(lat).items():
+        T, U = lat.nodes[i], lat.nodes[j]
+        sub, pres = lat.sub_extension(T, U)
+        ref = classify_minimal_reference(sub)
+        assert (c.kind, c.residual_degree) == (ref.kind, ref.residual_degree)
+        ref_C = Submodule(pres.ring, ref.crucial_key).basis_array()
+        C = Submodule.from_generators(S, pres.to_ambient.apply_rows(ref_C))
+        assert c.crucial_key == C.key
+        if c.kind == "inert":
+            assert c.witness is None
+            continue
+        w = np.array(c.witness)
+        val = S.mul_rows(w, w)
+        if c.kind == "decomposed":
+            val = (val - w) % S.np_orders
+        assert U.contains(w) and not T.contains(w) and C.contains_many(val)[0]
+
+
+@pytest.mark.parametrize("case", ["b5101_q2", "remark_1317",
+                                  "F4[y]/(y^2)^2xF2", "F2^5"])
+def test_edge_classifier_matches_presented_reference(case):
+    assert_edges_match_reference(ExtensionLattice(CASES[case]()))
+
+
+def test_edge_classifier_matches_presented_reference_on_corpus():
+    for seed in range(200):
+        entry, = generate_corpus(CorpusConfig(seed=seed, count=1, max_size=128))
+        assert_edges_match_reference(entry.lattice)
+
+
+def test_edge_labels_present_no_ring(monkeypatch):
+    # every edge is classified on spans of S: no node is presented as a ring
+    calls = []
+    count_calls(monkeypatch, calls)
+    exts = [CASES["b5101_q2"](), CASES["remark_1317"]()]
+    exts += [entry.ext for entry in
+             generate_corpus(CorpusConfig(seed=0, count=10, max_size=128))]
+    for ext in exts:
+        lat = ExtensionLattice(Extension(ext.top, ext.bottom))
+        calls.clear()
+        edge_labels(lat)
+        assert calls == [], (ext, calls)
+
+
+@pytest.mark.parametrize("fixture", ["b5101_q2", "remark_1317"])
+def test_classify_crucial_keys_are_maximal_ideals_of_the_foot(capsys, fixture):
+    # each printed key is (T : U) in S's coordinates: a maximal ideal Q of
+    # the node `from` with Q times the node `to` inside it
+    assert main(["classify", str(FIXTURES / f"{fixture}.json")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    lat = ExtensionLattice(CASES[fixture]())
+    S = lat.ambient
+    for edge in doc["edges"]:
+        T, U = lat.nodes[edge["from"]], lat.nodes[edge["to"]]
+        C = Submodule(S, tuple(map(tuple, edge["crucial_key"])))
+        assert C.key in {Q.key for _, Q in lat.ext.max_ideal_pairs(T)}
+        prods = S.mul_pairs(C.basis_array(), U.basis_array())
+        assert T.contains_many(prods.reshape(-1, S.rank)).all()
+
+
+def test_not_minimal_is_a_property_violation(monkeypatch, capsys):
+    def refuse(ext, low=None, high=None):
+        raise NotMinimalError("refused")
+
+    monkeypatch.setattr(minimal, "classify_minimal", refuse)
+    assert main(["classify", str(FIXTURES / "b5101_q2.json")]) == 1
+    assert "property violation: refused" in capsys.readouterr().err
+    entry, = generate_corpus(CorpusConfig(seed=0, count=1, max_size=128))
+    report, ok = run_suite([entry], "all")
+    assert not ok
+    failed = [st for st in report.values() if st["fail"]]
+    assert failed
+    assert all(f"{entry.name}: refused" in st["failures"] for st in failed)
