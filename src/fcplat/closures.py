@@ -189,7 +189,7 @@ def x_integral_hull(lattice, kind):
         # B[b] depends only on b + B: one b per coset, told apart by its
         # residual against B's Howell basis
         V = scale_rows(wit, top.np_orders, top.L)
-        res = howell_contains(V, B.hrows, top.L)[1]
+        res = howell_contains(V, B.howell_basis(), top.L)[1]
         for b in wit[np.unique(res, axis=0, return_index=True)[1]]:
             U = subring_generated(top, [b], over=B)
             if U.key not in reached:

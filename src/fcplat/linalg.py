@@ -14,12 +14,36 @@ instead of eliminating the whole generator matrix again.
 
 Membership and coordinates both come from one vectorized reduction,
 `howell_contains`, which reduces a whole batch of rows against a Howell
-basis at once.
+basis at once.  A caller that reduces against one span many times keeps its
+`HowellBasis`, the basis made ready for that reduction once.
+
+Both kernels have a fast path for the spans the workloads mostly meet, and
+each gives exactly what the general routine gives:
+
+- At L = 2 `howell_form` inserts rows packed into Python ints, column 0 the
+  top bit: reducing a row at a pivot is one XOR, and clearing the entries
+  above the pivots one XOR per set bit.  Over a field the Howell form is the
+  reduced row echelon form, which is unique, so the unpacked rows are the
+  general routine's, tuple for tuple.
+- When every pivot of the basis is 1 (always for prime L, sometimes for
+  composite L) the entries above each pivot are reduced modulo 1, so every
+  basis row is zero at every other row's pivot column.  Subtracting one row
+  then leaves the entries at the other pivot columns as they were, so the
+  sequential reduction's coefficients are the entries of the original V
+  there, and the whole reduction is one matmul, V - V[:, pivot_cols] @ H.
+  The matmul sums len(H) products below L^2 in int64, so it is taken only
+  when len(H) * (L - 1)^2 < 2^63.
+
+The general insertion and the sequential reduction remain for every other
+basis, and are the reference the fast paths are tested against.
 """
 
 from math import gcd
 
 import numpy as np
+
+# int64 arithmetic is exact only below this bound
+INT64_BOUND = 2**63
 
 
 def egcd(a, b):
@@ -89,9 +113,18 @@ def howell_form(rows, n, L, hrows=()):
     every such multiple lies in the span of the pivot rows to its right,
     which is the Howell property.  P' needs no multiple of its own, since
     (L/g)*P' = (L/p)*P - (L/p)*t*r' lies there already.
+
+    At L = 2 the same insertion runs on packed rows (`_howell_form_f2`).
     """
     if L == 1:
         return ()
+    if L == 2:
+        return _howell_form_f2(rows, n, hrows)
+    return _howell_form_general(rows, n, L, hrows)
+
+
+def _howell_form_general(rows, n, L, hrows):
+    """`howell_form` by insertion of row lists, for any L > 1."""
     piv = [None] * n
     for h in hrows:
         piv[next(j for j, x in enumerate(h) if x)] = h
@@ -138,28 +171,140 @@ def howell_form(rows, n, L, hrows=()):
     return tuple(map(tuple, result))
 
 
+def _pack_f2(r):
+    """A row of (Z/2)^n as an int, column 0 the top bit."""
+    v = 0
+    for x in r:
+        v = (v << 1) | (x & 1)
+    return v
+
+
+# _BITS[m][v]: the m-bit number v as a tuple of its bits, top bit first
+_BITS = [
+    tuple(tuple((v >> i) & 1 for i in reversed(range(m)))
+          for v in range(1 << m))
+    for m in range(9)
+]
+
+
+def _unpack_f2(v, n):
+    """Inverse of `_pack_f2`: n bits, a byte at a time."""
+    head = n % 8
+    out = _BITS[head][v >> (n - head)]
+    for shift in range(n - head - 8, -1, -8):
+        out += _BITS[8][(v >> shift) & 255]
+    return out
+
+
+def _howell_form_f2(rows, n, hrows):
+    """`howell_form` at L = 2 on rows packed into ints.
+
+    piv[j] is the pivot row at column j, 0 for none; a packed row's pivot
+    column is n - bit_length.  Each row is reduced by one XOR per pivot row
+    it meets until it vanishes or leads at a free column.  Then each pivot
+    row, by increasing column, clears its bit from the rows above it.
+    """
+    piv = [0] * n
+    for h in hrows:
+        v = _pack_f2(h)
+        piv[n - v.bit_length()] = v
+    for r in rows:
+        v = _pack_f2(r)
+        while v:
+            j = n - v.bit_length()
+            P = piv[j]
+            if not P:
+                piv[j] = v
+                break
+            v ^= P
+    result = []
+    for j, ri in enumerate(piv):
+        if ri:
+            bit = 1 << (n - 1 - j)
+            for k, rk in enumerate(result):
+                if rk & bit:
+                    result[k] = rk ^ ri
+            result.append(ri)
+    return tuple(_unpack_f2(v, n) for v in result)
+
+
+class HowellBasis:
+    """A Howell basis made ready for `howell_contains`, once per span.
+
+    When every pivot is 1 and len(hrows) * (L - 1)^2 < 2^63 the reduction
+    is one matmul (see the module docstring) by `one_shot`, the int64
+    matrix P with V @ P = V - V[:, pivot_cols] @ H: the identity less row i
+    of H in row pivot_col[i].  Otherwise `one_shot` is None, and the
+    reduction goes row by row through `steps()`.
+    """
+
+    # spans keep theirs for life, and a lattice holds thousands of spans
+    __slots__ = ("hrows", "one_shot", "_steps")
+
+    def __init__(self, hrows, L):
+        self.hrows = hrows
+        self.one_shot = self._steps = None
+        if not hrows or len(hrows) * (L - 1) ** 2 >= INT64_BOUND:
+            return
+        n = len(hrows[0])
+        P = [None] * n
+        for h in hrows:
+            j = next(j for j, x in enumerate(h) if x)
+            if h[j] != 1:
+                return
+            P[j] = [-x for x in h]
+            P[j][j] = 0
+        for j, row in enumerate(P):
+            if row is None:
+                P[j] = [0] * n
+                P[j][j] = 1
+        self.one_shot = np.array(P, dtype=np.int64)
+
+    def steps(self):
+        """(row, pivot column, pivot) of each basis row, row an int64 array."""
+        if self._steps is None:
+            H = np.array(self.hrows, dtype=np.int64)
+            cols = (H != 0).argmax(axis=1).tolist()
+            self._steps = [(row, j, int(row[j])) for row, j in zip(H, cols)]
+        return self._steps
+
+
+def _reduce_one_shot(V, basis, L):
+    """V reduced against a basis whose pivots are all 1, in one matmul.
+
+    Each entry of V @ P is an entry of V, below L, less len(H) products
+    below L^2, so every partial sum lies between -len(H) * (L - 1)^2 and L,
+    inside int64 by the guard on len(H).
+    """
+    return V @ basis.one_shot % L
+
+
+def _reduce_sequential(V, basis, L):
+    """V reduced against the basis one row at a time."""
+    # a pivot divides L, and a row whose entry it does not divide stays
+    # nonzero in that column, since every later basis row is zero there
+    for row, j, p in basis.steps():
+        V = (V - (V[:, j] // p)[:, None] * row) % L
+    return V
+
+
 def howell_contains(V, hrows, L):
     """Reduce a batch of rows against a Howell basis, all rows at once.
 
-    V is an integer array of rows in (Z/L)^N and hrows a Howell basis there.
-    Returns (mask, residual): each row minus the multiples of the basis rows
-    that its pivot entries allow, and whether that residual is zero, which
-    by the Howell property is exactly membership in the span.  For a member
-    the subtracted multiples express it over hrows, so reducing (v, 0)
-    against the Howell form of (A | I) leaves minus the coordinates of v
-    over the rows of A in the tail.
+    V is an integer array of rows in (Z/L)^N and hrows a Howell basis there,
+    as row tuples or as a `HowellBasis`.  Returns (mask, residual): each row
+    minus the multiples of the basis rows that its pivot entries allow, and
+    whether that residual is zero, which by the Howell property is exactly
+    membership in the span.  For a member the subtracted multiples express
+    it over hrows, so reducing (v, 0) against the Howell form of (A | I)
+    leaves minus the coordinates of v over the rows of A in the tail.
     """
     V = np.asarray(V, dtype=np.int64) % L
-    if not hrows:
-        return ~V.any(axis=1), V
-    H = np.array(hrows, dtype=np.int64)
-    cols = (H != 0).argmax(axis=1)
-    pivots = H[np.arange(len(H)), cols]
-    # a pivot divides L, and a row whose entry it does not divide stays
-    # nonzero in that column, since every later basis row is zero there
-    for row, j, p in zip(H, cols.tolist(), pivots.tolist()):
-        V -= (V[:, j] // p)[:, None] * row
-        V %= L
+    basis = hrows if isinstance(hrows, HowellBasis) else HowellBasis(hrows, L)
+    if basis.one_shot is not None:
+        V = _reduce_one_shot(V, basis, L)
+    elif basis.hrows:
+        V = _reduce_sequential(V, basis, L)
     return ~V.any(axis=1), V
 
 

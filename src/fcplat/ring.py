@@ -20,6 +20,7 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from .linalg import (
+    INT64_BOUND,
     howell_contains,
     howell_form,
     scale_rows,
@@ -28,8 +29,7 @@ from .linalg import (
 from .memo import memo
 
 # The batched kernel sums rank products of entries below L in int64, so a
-# ring must keep rank * L^2 below this bound.
-INT64_BOUND = 2**63
+# ring must keep rank * L^2 below INT64_BOUND.
 
 # Rings are validated at construction; full associativity on all basis
 # triples is checked up to this rank, random triples beyond it (only very

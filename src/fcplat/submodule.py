@@ -12,6 +12,7 @@ basis into the sorted `elements_array`.
 import numpy as np
 
 from .linalg import (
+    HowellBasis,
     howell_contains,
     howell_form,
     scale_rows,
@@ -71,11 +72,29 @@ class Submodule:
     def contains(self, vec):
         return bool(self.contains_many([vec])[0])
 
+    def howell_basis(self):
+        """The Howell rows as a `HowellBasis`, kept from the second call on.
+
+        Most spans are tested once (each node as the lattice enumeration
+        leaves it, each `is_subring` candidate), and a kept basis costs
+        about 200 bytes for as long as its span lives, so the first call
+        only marks the span, with False.
+        """
+        kept = getattr(self, "_howell_basis", None)
+        if kept:
+            return kept
+        basis = HowellBasis(self.hrows, self.ambient.L)
+        self._howell_basis = basis if kept is False else False
+        return basis
+
     def contains_many(self, arr):
         """Vectorized membership for an integer array of unscaled rows."""
         amb = self.ambient
-        V = scale_rows(arr, amb.np_orders, amb.L)
-        return howell_contains(V, self.hrows, amb.L)[0]
+        if amb.orders[-1] == amb.L:  # no coordinate to scale
+            V = np.asarray(arr, dtype=np.int64).reshape(-1, amb.rank)
+        else:
+            V = scale_rows(arr, amb.np_orders, amb.L)
+        return howell_contains(V, self.howell_basis(), amb.L)[0]
 
     @memo
     def elements_array(self):
@@ -191,18 +210,22 @@ def subring_generated(ambient, gens, over=None):
     T = over
     if T is None:
         T = Subalgebra.from_generators(ambient, [ambient.one])
-    L = ambient.L
-    rest = np.asarray(gens, dtype=np.int64).reshape(-1, ambient.rank)
+    n, L, orders = ambient.rank, ambient.L, ambient.np_orders
+    scaled = ambient.orders[-1] != L
+    rest = np.asarray(gens, dtype=np.int64).reshape(-1, n)
     while len(rest):
         x, rest = rest[0], rest[1:]
-        mats = ambient.mul_matrices(x)
+        mat = ambient.mul_matrices(x)
         block = T.basis_array()
-        blocks = []
-        for _ in range(max(1, (ambient.size // T.size).bit_length() - 1)):
-            block = ambient.mul_pairs(block, x, mats)[:, 0]
-            blocks.append(block)
-        rows = scale_rows(np.vstack(blocks), ambient.np_orders, L).tolist()
-        T = Subalgebra(ambient, howell_form(rows, ambient.rank, L, T.hrows))
+        b = len(block)
+        steps = max(1, (ambient.size // T.size).bit_length() - 1)
+        rows = np.empty((steps * b, n), dtype=np.int64)
+        for s in range(steps):
+            block = block @ mat % orders
+            rows[s * b:(s + 1) * b] = block
+        if scaled:
+            rows = scale_rows(rows, orders, L)
+        T = Subalgebra(ambient, howell_form(rows.tolist(), n, L, T.hrows))
         if len(rest):
             rest = rest[~T.contains_many(rest)]
     return T
