@@ -19,13 +19,16 @@ be reached:
     (an entry below the pivot at each pivot column) meet every coset of T
     exactly once (`Submodule.coset_representatives`), so no element of T
     is listed.
+  * Order.  Every pair T < T[x] that the search forms is a containment,
+    and every cover is one of these pairs, so <= is their reflexive and
+    transitive closure.  U covers T iff U is a search successor of T that
+    lies inside no other search successor of T: a node strictly between
+    T and U would contain a cover of T, which is a successor.
 
 Nodes are kept in order of size, then canonical key.
 """
 
 import os
-
-import numpy as np
 
 from .memo import memo
 from .spectrum import Extension
@@ -59,16 +62,19 @@ def _max_nodes_default():
 def enumerate_interval(ambient, bottom, max_nodes=None):
     """All subalgebras T of the ambient ring containing bottom.
 
-    Returns them sorted by (size, canonical key).
+    Returns a dict from each node, in order of (size, canonical key), to
+    the keys of its search successors T[x], as a tuple.
     """
     if max_nodes is None:
         max_nodes = _max_nodes_default()
     top = Subalgebra.whole(ambient)
     N = nilradical(ambient)
     seen = {bottom.key: bottom}
+    ups = {}
     frontier = [bottom]
     while frontier:
         T = frontier.pop()
+        up = ups[T.key] = set()
         # the zero row stands for T itself
         reps = T.coset_representatives()[1:]
         J = T.intersect(N)
@@ -85,9 +91,10 @@ def enumerate_interval(ambient, bottom, max_nodes=None):
                     )
                 seen[U.key] = U
                 frontier.append(U)
+            up.add(seen[U.key].key)
     nodes = sorted(seen.values(), key=lambda n: (n.size, n.key))
     assert nodes[0] == bottom and nodes[-1] == top
-    return nodes
+    return {n: tuple(ups[n.key]) for n in nodes}
 
 
 class ExtensionLattice:
@@ -96,9 +103,9 @@ class ExtensionLattice:
     def __init__(self, ext, max_nodes=None):
         self.ext = ext
         self.ambient = ext.top
-        self.nodes = enumerate_interval(
-            ext.top, ext.bottom, max_nodes=max_nodes
-        )
+        search = enumerate_interval(ext.top, ext.bottom, max_nodes=max_nodes)
+        self.nodes = list(search)
+        self._ups = list(search.values())
         self.index = {n.key: i for i, n in enumerate(self.nodes)}
 
     @property
@@ -115,30 +122,19 @@ class ExtensionLattice:
     @memo
     def leq(self):
         """Containment matrix as a list of sets: leq[i] = {j : node_i <= node_j}."""
-        # the basis rows of every node, tested against each node at once
-        rows = np.vstack([n.basis_array() for n in self.nodes])
-        starts = np.cumsum([0] + [len(n.hrows) for n in self.nodes[:-1]])
-        out = [set() for _ in self.nodes]
-        for j, b in enumerate(self.nodes):
-            inside = np.logical_and.reduceat(b.contains_many(rows), starts)
-            for i in np.flatnonzero(inside):
-                out[i].add(j)
+        out = [None] * len(self.nodes)
+        # a search successor is larger, so its index is larger: close it first
+        for i in reversed(range(len(self.nodes))):
+            out[i] = {i}.union(*(out[self.index[k]] for k in self._ups[i]))
         return out
 
     @memo
     def hasse_edges(self):
-        """Covering pairs (i, j), node i covered by node j."""
+        """Covering pairs (i, j), node i covered by node j, in sorted order."""
         leq = self.leq()
-        edges = []
-        for i in range(len(self.nodes)):
-            for j in leq[i]:
-                if j == i:
-                    continue
-                if any(k != i and k != j and j in leq[k] for k in leq[i]):
-                    continue
-                edges.append((i, j))
-        edges.sort()
-        return edges
+        succ = [sorted(self.index[k] for k in ups) for ups in self._ups]
+        return [(i, j) for i, s in enumerate(succ)
+                for j in s if not any(k != j and j in leq[k] for k in s)]
 
     @memo
     def _successors(self):

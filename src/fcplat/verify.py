@@ -299,7 +299,16 @@ def check_t_from_ksep_and_krad(ctx):
 
 
 def check_ksep_to_top_radicial(ctx):
-    """The kappa-separable closure sits radicially below the top."""
+    """The kappa-separable closure sits radicially below the top.
+
+    Over finite residue fields this holds trivially.  Finite fields are
+    perfect, so every residual extension is separable, the
+    kappa-separable closure is the top S, and the check runs the tensor
+    route of `radicial_closure` on S <= S, whose radicial closure is S.
+    It stays as that route's run on every entry until the route is one
+    kernel of linear algebra rather than a tensor square and a
+    nilpotency mask over every element of S.
+    """
     upper = ctx.lat.upper(ctx.ksep)
     return radicial_closure(upper).size == upper.top.size
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +320,81 @@ def test_cover_search_lists_no_node_elements(monkeypatch):
 
     monkeypatch.setattr(Submodule, "elements_array", refuse)
     assert len(enumerate_interval(ext.top, ext.bottom)) == TOPS["F2[y]/(y^8)"][1]
+
+
+# -- the order read off the search against membership -----------------------
+
+
+def leq_reference(lat):
+    """The containment matrix by membership: the basis rows of every node,
+    tested against each node at once."""
+    rows = np.vstack([n.basis_array() for n in lat.nodes])
+    starts = np.cumsum([0] + [len(n.hrows) for n in lat.nodes[:-1]])
+    out = [set() for _ in lat.nodes]
+    for j, b in enumerate(lat.nodes):
+        inside = np.logical_and.reduceat(b.contains_many(rows), starts)
+        for i in np.flatnonzero(inside):
+            out[i].add(j)
+    return out
+
+
+def hasse_reference(leq):
+    """The covering pairs of a containment matrix by a triple loop, sorted."""
+    edges = []
+    for i in range(len(leq)):
+        for j in leq[i]:
+            if j == i:
+                continue
+            if any(k != i and k != j and j in leq[k] for k in leq[i]):
+                continue
+            edges.append((i, j))
+    edges.sort()
+    return edges
+
+
+def assert_order_matches_reference(lat):
+    leq = leq_reference(lat)
+    assert lat.leq() == leq
+    assert lat.hasse_edges() == hasse_reference(leq)
+
+
+ORDER_CASES = {
+    **CASES,
+    # 500 nodes
+    "F8[y]/(y^2)xF4[y]/(y^2)": lambda: prime_ext(product_ring(
+        [truncated(galois_field(8), 2), truncated(galois_field(4), 2)])[0]),
+}
+
+
+@pytest.mark.parametrize("case", list(ORDER_CASES))
+def test_order_and_edges_match_membership_reference(case):
+    assert_order_matches_reference(ExtensionLattice(ORDER_CASES[case]()))
+
+
+def test_order_and_edges_match_membership_reference_on_corpus():
+    for seed in range(200):
+        entry, = generate_corpus(CorpusConfig(seed=seed, count=1, max_size=128))
+        assert_order_matches_reference(entry.lattice)
+
+
+def test_order_and_edges_make_no_membership_test(monkeypatch):
+    # <= and the covers are read off the search pairs, so neither reduces a
+    # vector against a node's Howell basis
+    lat = ExtensionLattice(top_ext("F4[y]/(y^2)^2xF2"))
+    calls = []
+    monkeypatch.setattr(Submodule, "contains_many",
+                        counting(Submodule.contains_many, calls))
+    wrapped = counting(howell_contains, calls)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("fcplat.")
+                and getattr(module, "howell_contains", None) is howell_contains):
+            monkeypatch.setattr(module, "howell_contains", wrapped)
+    lat.leq()
+    lat.hasse_edges()
+    assert calls == []
+    # the counters see the membership route
+    leq_reference(lat)
+    assert len(calls) == 2 * lat.node_count()
 
 
 # -- the edge classifier in S against the presented classifier --------------
