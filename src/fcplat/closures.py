@@ -28,7 +28,8 @@ R, and its Jacobson radical J(S) is its nilradical.  So each is a span:
 
 The witness fixpoint (`x_closure`) stays for every kind beside the lattice
 oracles (least closed node, greatest node reached by elementary steps), so
-verify can compare the routes.
+verify can compare the routes.  Given a node U, it reads the x-closure of R
+in U in S: the witness conditions name only elements of U.
 
 The omega-closure, the greatest node T with R <= T unramified, is decided
 on each node by the local criterion read in S (`is_unramified_local`).  The
@@ -52,7 +53,7 @@ import numpy as np
 from .spectrum import is_unramified_local, tensor_square
 from .linalg import howell_contains, howell_form, kernel_mod, scale_rows
 from .memo import memo
-from .ring import exact_log, is_prime
+from .ring import exact_log, is_prime, require
 from .structure import (
     _nilpotent_mask,
     maximal_ideals,
@@ -65,28 +66,29 @@ X_KINDS = ("s", "u", "t")
 
 
 @memo
-def _squares_and_cubes(top):
-    """b^2 and b^3 for every b of top.elements_array(), formed once per ring:
-    the lattice oracles ask for witnesses over every node of the same top."""
-    arr = top.elements_array()
+def _squares_and_cubes(top, high=None):
+    """The members b of high, a subring of top (top itself by default),
+    with b^2 and b^3, formed once per span: the lattice oracles ask for
+    witnesses over every node of the same top."""
+    arr = (top if high is None else high).elements_array()
     b2 = top.mul_rows(arr, arr)
     b3 = top.mul_rows(b2, arr)
     b2.flags.writeable = b3.flags.writeable = False
-    return b2, b3
+    return arr, b2, b3
 
 
-def witnessed_elements(top, B, kind):
-    """All b in S \\ B that are elementary over B for the given kind.
+def witnessed_elements(top, B, kind, high=None):
+    """All b in high \\ B that are elementary over B for the given kind,
+    high a subring of top containing B (top itself by default).
 
     A witness is r with b^2 - r b and b^3 - r b^2 both in B, where r = 0
     (kind 's'), r = 1 (kind 'u') or r ranges over B (kind 't').  Only the
-    b outside B are tested, and for kind 't' the b^3 - r b^2 only for the
-    pairs (b, r) whose b^2 - r b already lies in B.
+    b of high outside B are tested, and for kind 't' the b^3 - r b^2 only
+    for the pairs (b, r) whose b^2 - r b already lies in B.
     """
-    arr = top.elements_array()
+    arr, b2, b3 = _squares_and_cubes(top, high)
     outside = np.flatnonzero(~B.contains_many(arr))
-    arr = arr[outside]
-    b2, b3 = (c[outside] for c in _squares_and_cubes(top))
+    arr, b2, b3 = arr[outside], b2[outside], b3[outside]
     orders = top.np_orders
     if kind == "s":
         ok = B.contains_many(b2) & B.contains_many(b3)
@@ -122,12 +124,13 @@ def is_x_closed(ext, kind, bottom=None):
     return not witnessed_elements(ext.top, B, kind)
 
 
-def x_closure(ext, kind):
-    """The least x-closed intermediate ring, by witness fixpoint."""
+def x_closure(ext, kind, high=None):
+    """The least x-closed intermediate ring of R <= high, high a node of
+    [R, S] (S by default), by witness fixpoint over the members of high."""
     top = ext.top
     B = ext.bottom
     while True:
-        extra = witnessed_elements(top, B, kind)
+        extra = witnessed_elements(top, B, kind, high)
         if not extra:
             return B
         B = subring_generated(top, extra, over=B)
@@ -170,7 +173,7 @@ def x_closure_via_least_closed(lattice, kind):
         if is_x_closed(ext, kind, bottom=n)
     ]
     least = lattice.least(closed)
-    assert least is not None, "closed nodes must have a least"
+    require(least is not None, "closed nodes must have a least")
     return lattice.nodes[least]
 
 
@@ -197,7 +200,7 @@ def x_integral_hull(lattice, kind):
                 frontier.append(lattice.nodes[lattice.index[U.key]])
     nodes = [lattice.nodes[lattice.index[k]] for k in reached]
     best = max(nodes, key=lambda n: n.size)
-    assert all(n <= best for n in nodes), "reachable set must have a top"
+    require(all(n <= best for n in nodes), "reachable set must have a top")
     return best
 
 
@@ -214,9 +217,9 @@ def radicial_closure(ext):
     imgs = (arr @ delta) % T.np_orders
     mask = _nilpotent_mask(T, imgs)
     sub = Subalgebra.from_generators(top, arr[mask])
-    assert sub.size == int(mask.sum()), "radicial set must be additively closed"
-    assert sub.is_subring()
-    assert ext.bottom <= sub
+    require(sub.size == int(mask.sum()) and sub.is_subring()
+            and ext.bottom <= sub,
+            "the radicial set must be a subring over the bottom")
     return sub
 
 
@@ -237,7 +240,7 @@ def primitive_element(k, K):
     F = K.ambient
     q = k.size
     m = exact_log(K.size, q)
-    assert m is not None, "a field extension has q^m elements"
+    require(m is not None, "a field extension has q^m elements")
     X = K.elements_array()
     generates = np.ones(len(X), dtype=bool)
     for r in range(2, m + 1):

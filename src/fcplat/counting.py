@@ -15,8 +15,10 @@ routes compute it:
     read in S, with no localized ring built and no ring presented for R/M:
     P is solved over the images of R's basis in the residue field S/N.
 
-The sum formula states |[R, S]| is the sum of n[R', S'] over all pairs
-(R', S') with R <= R' <= t(R) <= S' <= S.
+Both count n[low, high] for any nodes low <= high of [R, S], read in S: the
+formula with the images of low and high in S/N and the idealizer of M in
+high.  The sum formula states |[R, S]| is the sum of n[R', S'] over all
+pairs (R', S') with R <= R' <= t(R) <= S' <= S.
 """
 
 import math
@@ -25,14 +27,15 @@ import numpy as np
 
 from .closures import primitive_min_poly, t_closure
 from .memo import memo
-from .structure import residue_field
-from .submodule import Subalgebra, Submodule, subring_generated
+from .ring import require
+from .structure import maximal_ideals, residue_field
+from .submodule import Subalgebra, subring_generated
 
 
 def idealizer(ext, M_sub):
     """The greatest subring R' of S in which M_sub stays an ideal.
 
-    M_sub is an additive subgroup of S (a maximal ideal of the bottom, kept
+    M_sub is an additive subgroup of S (a maximal ideal of a node, kept
     in S's coordinates); the idealizer is {x in S : x * M_sub <= M_sub}.
     """
     S = ext.top
@@ -40,63 +43,68 @@ def idealizer(ext, M_sub):
     prods = S.mul_pairs(arr, M_sub.basis_array())
     mask = M_sub.contains_many(prods).reshape(len(arr), -1).all(axis=1)
     sub = Subalgebra.from_generators(S, arr[mask])
-    assert sub.size == int(mask.sum()), "idealizer must be additively closed"
-    assert sub.is_subring()
-    assert ext.bottom <= sub
+    require(sub.size == int(mask.sum()) and sub.is_subring()
+            and ext.bottom <= sub,
+            "the idealizer must be a subring over the bottom")
     return sub
 
 
-def complement_count_formula(ext):
-    """n[R, S] by the root-counting formula: the local count at the maximal
-    ideal of R when R is local, else the product of the local counts over
-    MSupp(S/R)."""
-    max_R = ext.bottom_maximal_ideals()
-    local = max_R if len(max_R) == 1 else ext.msupp()
-    return math.prod(_complement_count_local(ext, M) for M in local)
+def complement_count_formula(ext, low=None, high=None):
+    """n[low, high] for nodes low <= high of [R, S] (the bottom and S by
+    default) by the root-counting formula: the local count at the maximal
+    ideal of low when low is local, else the product of the local counts
+    over MSupp(high/low)."""
+    low = ext.bottom if low is None else low
+    high = Subalgebra.whole(ext.top) if high is None else high
+    local = [P for _, P in ext.max_ideal_pairs(low)]
+    if len(local) != 1:
+        local = ext.msupp_quotient(low, high, base=low)
+    return math.prod(_complement_count_local(ext, M, low, high)
+                     for M in local)
 
 
-def _complement_count_local(ext, M):
-    """n[R_M, S_M], read in S.
+def _complement_count_local(ext, M, low, high):
+    """n[low_M, high_M], read in S.
 
-    The maximal ideals of S_M are the N of S over M.  With e the idempotent
-    of R at M, the idealizer R' of M in S is the idealizer of eM in eS plus
-    (1 - e)R, so A = R'/M is already the localized one, and the subalgebras
-    of A over R/M are the R[x] / M for x in R'.
+    With e the idempotent of low at M, the idealizer R' of M in high is the
+    idealizer of eM in e*high plus (1 - e)low, so A = R'/M is already the
+    localized one, and the subalgebras of A over low/M are the low[x] / M
+    for x in R'.
     """
     S = ext.top
-    tops = [N for N, P in ext.lying_over() if P == M]
-    sizes = {ext.residual_sizes(N) for N in tops}
-    if len(sizes) != 1:
+    tops = [N for N in maximal_ideals(S) if N.intersect(low) == M]
+    if len({high.size // N.intersect(high).size for N in tops}) != 1:
         # top residue fields of distinct sizes cannot all be isomorphic to
         # one T/M, so no complement exists (finite fields of equal size
         # over the same subfield are isomorphic over it, so size is enough)
         return 0
 
-    # minimal polynomial over R/M of a primitive element of S/N_1, with
-    # R/M the image of R in S/N_1, solved over the images of R's basis;
-    # each coefficient lifts into R as the same combination of that basis,
-    # and two lifts differ by an element of M, which leaves P(x) mod M alone
+    # minimal polynomial over low/M of a primitive element of the image of
+    # high in S/N_1, with low/M the image of low there, solved over the
+    # images of low's basis; each coefficient lifts into low as the same
+    # combination of that basis, and two lifts differ by an element of M,
+    # which leaves P(x) mod M alone
     N = tops[0]
-    kN, projN, _ = residue_field(S, N)
-    R = ext.bottom.basis_array()
+    _, projN, _ = residue_field(S, N)
+    R = low.basis_array()
     coords = primitive_min_poly(
-        ext.residue_image(N, ext.bottom), Submodule.whole(kN),
+        ext.residue_image(N, low), ext.residue_image(N, high),
         projN.apply_rows(R),
     )
     P = np.vstack([(coords @ R) % S.np_orders, [S.one]])
 
     # x + M is a root of P in A = R'/M iff P(x) lies in M; P(x) by Horner's
     # rule, for every x of R' at once
-    X = idealizer(ext, M).elements_array()
+    X = idealizer(ext, M).intersect(high).elements_array()
     acc = np.zeros_like(X)
     for c in P[::-1]:
         acc = (S.mul_rows(acc, X) + c) % S.np_orders
     roots = X[M.contains_many(acc)]
-    # (R/M)[x + M] is R[x] / M: one adjunction per coset x + M of roots
+    # (low/M)[x + M] is low[x] / M: one adjunction per coset x + M of roots
     keys = set()
     while len(roots):
         x = roots[0]
-        keys.add(subring_generated(S, [x], over=ext.bottom).key)
+        keys.add(subring_generated(S, [x], over=low).key)
         roots = roots[~M.contains_many(roots - x)]
     return len(keys)
 
@@ -111,7 +119,7 @@ def t_closure_node(lattice, low=None, high=None):
     high = lattice.top_node if high is None else high
     t_full = _t_closure_in_top(lattice, low)
     node = t_full if high == lattice.top_node else t_full.intersect(high)
-    assert node.key in lattice.index
+    require(node.key in lattice.index, "the t-closure must be a node")
     return lattice.nodes[lattice.index[node.key]]
 
 
@@ -145,27 +153,25 @@ def sum_formula_table(lattice):
         for j in upper:
             Rp = lattice.nodes[i]
             Sp = lattice.nodes[j]
-            assert t_closure_node(lattice, Rp, Sp) == t_node
+            require(t_closure_node(lattice, Rp, Sp) == t_node,
+                    f"pair {(i, j)} has another t-closure")
             table[(i, j)] = len(lattice.complements(t_node, low=Rp, high=Sp))
     total = sum(table.values())
     return table, total
 
 
 def verify_sum_formula(lattice, cross_check=False):
-    """Check the sum formula; optionally recompute each term by the
-    root-counting formula on the re-presented sub-extension."""
+    """Require |[R, S]| = sum of n[R', S']; with cross_check, also require
+    each term's root-counting formula, read in S on the nodes (R', S')."""
     table, total = sum_formula_table(lattice)
-    assert total == lattice.node_count(), (
-        f"sum formula fails: {total} != {lattice.node_count()}"
-    )
+    require(total == lattice.node_count(),
+            f"sum formula fails: {total} != {lattice.node_count()}")
     if cross_check:
         for (i, j), n_lat in table.items():
-            sub_ext, _ = lattice.sub_extension(
-                lattice.nodes[i], lattice.nodes[j]
+            n_form = complement_count_formula(
+                lattice.ext, lattice.nodes[i], lattice.nodes[j]
             )
-            n_form = complement_count_formula(sub_ext)
-            assert n_form == n_lat, (
-                f"count routes disagree on pair {(i, j)}: "
-                f"formula={n_form} lattice={n_lat}"
-            )
+            require(n_form == n_lat,
+                    f"count routes disagree on pair {(i, j)}: "
+                    f"formula={n_form} lattice={n_lat}")
     return table, total

@@ -31,6 +31,7 @@ Nodes are kept in order of size, then canonical key.
 import os
 
 from .memo import memo
+from .ring import require
 from .spectrum import Extension
 from .structure import nilradical
 from .submodule import Subalgebra, subring_generated
@@ -93,7 +94,7 @@ def enumerate_interval(ambient, bottom, max_nodes=None):
                 frontier.append(U)
             up.add(seen[U.key].key)
     nodes = sorted(seen.values(), key=lambda n: (n.size, n.key))
-    assert nodes[0] == bottom and nodes[-1] == top
+    require(nodes[0] == bottom and nodes[-1] == top, "ends must be R and S")
     return {n: tuple(ups[n.key]) for n in nodes}
 
 
@@ -145,25 +146,25 @@ class ExtensionLattice:
         return succ
 
     @memo
-    def path_lengths(self, low=None):
-        """(longest, shortest) number of Hasse steps from low to the top.
-
-        `low` defaults to the bottom.  Every upward path from low stays
-        inside [low, top], so the whole Hasse diagram serves every interval.
+    def path_lengths(self, low=None, high=None):
+        """(longest, shortest) number of Hasse steps from low to high, the
+        bottom and the top by default.  The covers of [low, high] are those
+        of [R, S] inside it, so the one Hasse diagram serves every interval.
         """
-        start = 0 if low is None else self.index[low.key]
-        succ = self._successors()
         n = len(self.nodes)
+        start = 0 if low is None else self.index[low.key]
+        end = n - 1 if high is None else self.index[high.key]
+        succ = self._successors()
         longest = {start: 0}
         shortest = {start: 0}
         # nodes are sorted by size, so edges always go up in index order
-        for i in range(start, n):
+        for i in range(start, end):
             if i not in longest:
                 continue
             for j in succ.get(i, []):
                 longest[j] = max(longest.get(j, 0), longest[i] + 1)
                 shortest[j] = min(shortest.get(j, n), shortest[i] + 1)
-        return longest[n - 1], shortest[n - 1]
+        return longest[end], shortest[end]
 
     def length(self):
         """Longest chain length from bottom to top."""
@@ -200,9 +201,8 @@ class ExtensionLattice:
         node; nodes are sorted by size, so it is the last of them."""
         good = [i for i, n in enumerate(self.nodes) if pred(n)]
         leq = self.leq()
-        assert all(good[-1] in leq[i] for i in good), (
-            "qualifying nodes must have a greatest"
-        )
+        require(all(good[-1] in leq[i] for i in good),
+                "qualifying nodes must have a greatest")
         return self.nodes[good[-1]]
 
     def join(self, a, b):
@@ -224,7 +224,14 @@ class ExtensionLattice:
 
     @memo
     def sub_extension(self, low, high):
-        """The extension low <= high with high re-presented as a ring."""
+        """The extension low <= high with high re-presented as a ring.
+
+        Intervals are read in S; presented rings serve only the standalone
+        second routes.  Through this method: `prufer_hull`,
+        `check_omega_greatest_unramified` and
+        `check_minimal_unramified_types`.  By their own presentation:
+        `check_supports_agree`, `Extension.localize_at` with
+        `check_coclosures_localize`, and the spec `subring` op."""
         pres = high.as_ring()
         bot = Subalgebra.from_generators(
             pres.ring, pres.from_ambient_rows(low.basis)

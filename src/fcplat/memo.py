@@ -31,7 +31,8 @@ def memo(fn):
             return _keep(obj, key, fn(obj, a))
     else:
         def cached(obj, a, b):
-            key = name, a.hrows, b.hrows
+            key = (name, None if a is None else a.hrows,
+                   None if b is None else b.hrows)
             try:
                 return obj._memo[key]
             except (AttributeError, KeyError):

@@ -27,7 +27,7 @@ outside T.
 from dataclasses import dataclass
 
 from .memo import memo
-from .ring import exact_log, is_prime
+from .ring import PropertyViolation, exact_log, is_prime
 from .submodule import Subalgebra
 
 
@@ -43,7 +43,7 @@ class MinimalClassification:
         return {"inert": "i", "decomposed": "d", "ramified": "r"}[self.kind]
 
 
-class NotMinimalError(ValueError):
+class NotMinimalError(PropertyViolation):
     pass
 
 

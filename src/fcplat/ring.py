@@ -42,6 +42,15 @@ class RingConstructionError(ValueError):
     pass
 
 
+class PropertyViolation(Exception):
+    """A verified property fails (CLI exit 1); unlike assert, survives -O."""
+
+
+def require(cond, msg="property violated"):
+    if not cond:
+        raise PropertyViolation(msg)
+
+
 class FiniteRing:
     """A finite commutative unital ring in basis/structure-constant form."""
 

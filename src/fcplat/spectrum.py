@@ -13,10 +13,11 @@ and f (x) f.  The local unramified criterion also takes a ring T between R
 and S (the `sub` argument): the maximal ideals of T are the Q = N cap T,
 and the local factor of T at Q is f*T for f the sum of the primitive
 idempotents of S at the N over Q (`Extension.max_ideal_pairs(T)`), so
-R <= T is decided in S with no T presented.  Everything here is computed
-exactly: lying-over pairs, residual field extensions, conductor support,
-localization at a maximal ideal of the bottom, the tensor square S (x)_R S
-by generators and relations, and the predicates built on it.
+R <= T is decided in S with no T presented, and so are the pair predicates
+(i-extension, infra-integral, subintegral) of any nodes low <= high.
+Everything here is computed exactly: residual field extensions, conductor
+support, localization at a maximal ideal of the bottom, the tensor square
+S (x)_R S by generators and relations, and the predicates built on it.
 
 Two of those predicates need no tensor square: unramified is
 Omega_{S/R} = 0, one Howell form of the relations of Omega in S^n, and
@@ -30,7 +31,7 @@ import numpy as np
 
 from .linalg import howell_form, kernel_mod, scale_rows, span_size
 from .memo import memo
-from .ring import RingMorphism, build_ring, ring_from_generators
+from .ring import RingMorphism, build_ring, require, ring_from_generators
 from .structure import (
     local_factors,
     max_ideal_idempotent_pairs,
@@ -65,11 +66,6 @@ class Extension:
     # -- lying over ----------------------------------------------------
 
     @memo
-    def lying_over(self):
-        """Pairs (N, N cap R) over the maximal ideals N of S."""
-        return [(N, N.intersect(self.bottom)) for N in maximal_ideals(self.top)]
-
-    @memo
     def max_ideal_pairs(self, sub=None):
         """Pairs (f, Q), Q maximal in a subring sub of S (S by default) and
         f its primitive idempotent, sorted by the key of Q.
@@ -94,9 +90,11 @@ class Extension:
         """The maximal ideals of the bottom, as subgroups of S."""
         return [P for _, P in self.max_ideal_pairs(self.bottom)]
 
-    def is_i_extension(self):
-        """Is the lying-over map Spec(S) -> Spec(R) injective?"""
-        return len(self.bottom_maximal_ideals()) == len(self.lying_over())
+    def is_i_extension(self, low=None, high=None):
+        """Is the lying-over map Spec(high) -> Spec(low) injective, for
+        nodes low <= high of [R, S] (the bottom and S by default)?"""
+        low = self.bottom if low is None else low
+        return len(self.max_ideal_pairs(low)) == len(self.max_ideal_pairs(high))
 
     @memo
     def residue_image(self, N, sub):
@@ -117,18 +115,17 @@ class Extension:
         return [(self.residue_image(N, self.bottom), self.residue_image(N, sub))
                 for N in maximal_ideals(self.top)]
 
-    def residual_sizes(self, N):
-        """(|R/(N cap R)|, |S/N|) without building the quotients."""
-        P = N.intersect(self.bottom)
-        return self.bottom.size // P.size, self.top.size // N.size
+    def is_infra_integral(self, low=None, high=None):
+        """Are all residual extensions of low <= high isomorphisms: is
+        |high/Q| = |low/(Q cap low)| for every maximal ideal Q of high?"""
+        low = self.bottom if low is None else low
+        top = self.top if high is None else high
+        return all(top.size // Q.size == low.size // Q.intersect(low).size
+                   for _, Q in self.max_ideal_pairs(high))
 
-    def is_infra_integral(self):
-        """All residual extensions are isomorphisms."""
-        return all(a == b for a, b in
-                   (self.residual_sizes(N) for N in maximal_ideals(self.top)))
-
-    def is_subintegral(self):
-        return self.is_i_extension() and self.is_infra_integral()
+    def is_subintegral(self, low=None, high=None):
+        return (self.is_i_extension(low, high)
+                and self.is_infra_integral(low, high))
 
     # -- support -------------------------------------------------------
 
@@ -137,11 +134,13 @@ class Extension:
         C = self.conductor_ideal()
         return [P for P in self.bottom_maximal_ideals() if C <= P]
 
-    def msupp_quotient(self, lower, upper):
-        """MSupp_R(upper/lower) for subgroups lower <= upper of S."""
+    def msupp_quotient(self, lower, upper, base=None):
+        """MSupp(upper/lower) for base-submodules lower <= upper of S, base
+        a node of [R, S] (the bottom by default)."""
         out = []
         top = self.top
-        for e, P in self.max_ideal_pairs(self.bottom):
+        base = self.bottom if base is None else base
+        for e, P in self.max_ideal_pairs(base):
             lo, up = (
                 Submodule.from_generators(top, top.mul_pairs(s.basis, e))
                 for s in (lower, upper)
@@ -237,9 +236,9 @@ def tensor_square(ext):
     # lift g = (i, j) goes to e_i e_j
     codiag = RingMorphism(ring, S, (lifts @ C.reshape(k, n)) % S.np_orders,
                           check=False)
-    # sanity: codiagonal splits both structural maps
-    assert np.array_equal(codiag.apply_rows(left.matrix), eye)
-    assert np.array_equal(codiag.apply_rows(right.matrix), eye)
+    require(np.array_equal(codiag.apply_rows(left.matrix), eye)
+            and np.array_equal(codiag.apply_rows(right.matrix), eye),
+            "the codiagonal must split both structural maps")
     return TensorSquare(ring, left, right, codiag)
 
 

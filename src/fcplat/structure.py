@@ -9,7 +9,7 @@ exactly its set of nilpotents, which keeps everything elementary.
 import numpy as np
 
 from .memo import memo
-from .ring import quotient_ring
+from .ring import quotient_ring, require
 from .submodule import Ideal, ideal_generated
 
 
@@ -61,7 +61,8 @@ def max_ideal_idempotent_pairs(R):
         mask = _nilpotent_mask(R, prods[:, b])
         out.append((e, Ideal.from_generators(R, arr[mask])))
     out.sort(key=lambda em: em[1].key)
-    assert len(set(m.key for _, m in out)) == len(out)
+    require(len(set(m.key for _, m in out)) == len(out),
+            "distinct primitive idempotents give distinct maximal ideals")
     return out
 
 
@@ -92,7 +93,7 @@ def residue_field(R, M):
     built once per ring: residual extensions ask for the same ones often.
     """
     field, project, lifts = quotient_ring(R, M.basis, label=f"{R.label}/M")
-    assert is_field(field)
+    require(is_field(field), "R/M must be a field for M maximal")
     return field, project, lifts
 
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from .closures import (
     closure_report,
-    is_x_closed,
     radicial_closure,
     x_closure,
     x_closure_via_least_closed,
@@ -36,9 +35,8 @@ from .counting import (
     verify_sum_formula,
 )
 from .lattice import ExtensionLattice, enumerate_interval
-from .memo import memo
-from .minimal import NotMinimalError, edge_labels
-from .ring import exact_log, quotient_ring
+from .minimal import edge_labels
+from .ring import PropertyViolation, exact_log, quotient_ring, require
 from .spectrum import (
     is_epimorphism,
     is_locally_epimorphism,
@@ -127,17 +125,6 @@ class ExtContext:
     def bottom_local(self):
         return len(self.ext.bottom_maximal_ideals()) == 1
 
-    def sub(self, low, high):
-        ext, _ = self.lat.sub_extension(low, high)
-        return ext
-
-    @memo
-    def interval_lattice(self, high):
-        """The fully re-enumerated lattice of [bottom, high] with its
-        presentation back into the ambient ring."""
-        ext, pres = self.lat.sub_extension(self.lat.bottom, high)
-        return ExtensionLattice(ext), pres
-
     def meet_node(self, a, b):
         return self.node(a.intersect(b))
 
@@ -160,13 +147,6 @@ class ExtContext:
         upper = {M.key for M in ext.msupp_quotient(T, top_all)}
         lower = {M.key for M in ext.msupp_quotient(ext.bottom, T)}
         return not (upper & lower)
-
-
-def to_ambient_subalgebra(pres, sub):
-    """Carry a subalgebra of a re-presented node ring back into the ambient."""
-    return Subalgebra.from_generators(
-        pres.to_ambient.target, pres.to_ambient.apply_rows(sub.basis)
-    )
 
 
 # ---------------------------------------------------------------------
@@ -333,7 +313,7 @@ def check_meet_plus_u(ctx):
     """bottom = plus meet u iff the extension into the u-closure is
     seminormal."""
     lhs = ctx.meet_node(ctx.plus, ctx.u) == ctx.lat.bottom
-    rhs = is_x_closed(ctx.sub(ctx.lat.bottom, ctx.u), "s")
+    rhs = x_closure(ctx.ext, "s", high=ctx.u) == ctx.lat.bottom
     return lhs == rhs
 
 
@@ -428,7 +408,7 @@ def check_sum_formula(ctx):
         return None
     try:
         verify_sum_formula(ctx.lat, cross_check=True)
-    except AssertionError:
+    except PropertyViolation:
         return False
     return True
 
@@ -516,7 +496,7 @@ def check_b5102_subintegral_chained(ctx):
     while not P <= ctx.conductor:
         P = _submodule_product(S, P, M)
         n += 1
-        assert n <= ext.bottom.size.bit_length() + 1
+        require(n <= ext.bottom.size.bit_length() + 1, "M must be nilpotent")
     # hypothesis: R + S M^2 sits at the base of a chained upper interval
     SM2 = ideal_generated(S, _submodule_product(S, M, M).basis)
     base = subring_generated(S, SM2.basis, over=ext.bottom)
@@ -534,7 +514,7 @@ def check_b5102_subintegral_chained(ctx):
         return False
     (N,) = ctx.top_maximals
     L = exact_log(N.size // M.size, q)
-    assert L is not None, "a module's size is a power of |R/M|"
+    require(L is not None, "a module's size is a power of |R/M|")
     return ctx.lat.node_count() == ctx.lat.length() + 1 == L + 1
 
 
@@ -543,7 +523,7 @@ def check_b5102_subintegral_chained(ctx):
 
 
 def check_co_triple_agreement(ctx):
-    """The three existence routes agree (asserted inside co_closure), and
+    """The three existence routes agree (required inside co_closure), and
     catenarian lattices always admit both co-closures."""
     rep = ctx.co
     if ctx.lat.is_catenarian():
@@ -564,21 +544,17 @@ def check_coclosures_of_closures_trivial(ctx):
     """Inside [R, plus] and [R, t] the co-closures collapse to R."""
     for high, kinds in ((ctx.plus, ("subintegral", "infra_integral")),
                         (ctx.t, ("infra_integral",))):
-        ilat, _ = ctx.interval_lattice(high)
         for kind in kinds:
-            cc = co_closure(ilat, kind)
-            if not (cc.exists and cc.node == ilat.bottom):
+            cc = co_closure(ctx.lat, kind, high=high)
+            if not (cc.exists and cc.node == ctx.lat.bottom):
                 return False
     return True
 
 
 def check_cosub_of_t_interval_is_u(ctx):
     """The co-subintegral closure of [R, t-closure] is the u-closure."""
-    ilat, pres = ctx.interval_lattice(ctx.t)
-    cc = co_closure(ilat, "subintegral")
-    if not cc.exists:
-        return False
-    return to_ambient_subalgebra(pres, cc.node) == ctx.u
+    cc = co_closure(ctx.lat, "subintegral", high=ctx.t)
+    return cc.exists and cc.node == ctx.u
 
 
 def check_infra_cosub_is_u(ctx):
@@ -775,11 +751,8 @@ def check_coclosure_products(ctx):
         out = True
         if ctx.join_node(cc.node, T) != ctx.lat.top_node:
             return False
-        inner = x_closure(ctx.sub(ctx.lat.bottom, cc.node), kind)
-        inner_amb = to_ambient_subalgebra(
-            ctx.lat.sub_extension(ctx.lat.bottom, cc.node)[1], inner
-        )
-        if ctx.meet_node(cc.node, T) != ctx.node(inner_amb):
+        inner = x_closure(ctx.ext, kind, high=cc.node)
+        if ctx.meet_node(cc.node, T) != ctx.node(inner):
             return False
     ci = ctx.co["co_infra_integral"]
     if ci.exists:
@@ -836,10 +809,12 @@ def check_omega_greatest_unramified(ctx):
     """omega is unramified over the bottom and dominates every unramified
     node, each node read by Omega of its presented extension: the second
     route to the local criterion that `omega_closure` reads in S."""
-    if not is_unramified(ctx.sub(ctx.lat.bottom, ctx.omega)):
+    lat = ctx.lat
+    if not is_unramified(lat.sub_extension(lat.bottom, ctx.omega)[0]):
         return False
-    for n in ctx.lat.nodes:
-        if is_unramified(ctx.sub(ctx.lat.bottom, n)) and not n <= ctx.omega:
+    for n in lat.nodes:
+        sub, _ = lat.sub_extension(lat.bottom, n)
+        if is_unramified(sub) and not n <= ctx.omega:
             return False
     return True
 
@@ -962,7 +937,7 @@ def run_suite(entries, suite):
             st = stats[name]
             try:
                 result = fn(ctx)
-            except (AssertionError, NotMinimalError) as exc:
+            except PropertyViolation as exc:
                 result = False
                 st.failures.append(f"{entry.name}: {exc}")
             if result is None:

@@ -92,6 +92,40 @@ def test_count_command(capsys):
     assert doc["sum_formula"]["total"] == doc["sum_formula"]["node_count"]
 
 
+def test_count_presents_no_ring(capsys, monkeypatch):
+    # both counts and every term of the sum-formula cross-check are read on
+    # pairs of nodes in S
+    calls = []
+    count_calls(monkeypatch, calls)
+    for spec in (B5101, R1317):
+        calls.clear()
+        code, _ = run(capsys, "count", spec)
+        assert code == 0
+        assert not {"sub_extension", "ring_from_generators"} & set(calls)
+
+
+def test_broken_property_exits_1_under_python_O():
+    # a verified property raises PropertyViolation, which python -O keeps
+    # where it strips an assert: a sum formula off by one must exit 1
+    script = "\n".join([
+        "import sys",
+        "from fcplat import cli, counting",
+        "table_of = counting.sum_formula_table",
+        "def off_by_one(lattice):",
+        "    table, total = table_of(lattice)",
+        "    return table, total + 1",
+        "counting.sum_formula_table = off_by_one",
+        f"sys.exit(cli.main(['count', {R1317!r}]))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "property violation: sum formula fails" in proc.stderr
+
+
 def test_verify_command(capsys, tmp_path):
     out = tmp_path / "v.json"
     code, doc = run(

@@ -512,15 +512,39 @@ def witness_mask_reference(top, B, kind):
 
 @pytest.mark.parametrize("ring", CLOSURE_RINGS, ids=lambda R: R.label)
 def test_witnessed_elements_match_full_mask(ring):
-    # every node B of [prime subring, S], B = S included, and every kind
+    # every node B of [prime subring, S], B = S included, and every kind,
+    # the witnesses sought in S and among the members of each node over B
     arr = ring.elements_array()
-    for B in ExtensionLattice(prime_ext(ring)).nodes:
+    lat = ExtensionLattice(prime_ext(ring))
+    leq = lat.leq()
+    for i, B in enumerate(lat.nodes):
         outside = ~B.contains_many(arr)
         for kind in ("s", "u", "t"):
             mask = witness_mask_reference(ring, B, kind) & outside
             assert witnessed_elements(ring, B, kind) == [
                 tuple(row) for row in arr[mask].tolist()
             ]
+            for j in sorted(leq[i]):
+                high = lat.nodes[j]
+                inside = mask & high.contains_many(arr)
+                assert witnessed_elements(ring, B, kind, high) == [
+                    tuple(row) for row in arr[inside].tolist()
+                ]
+
+
+@pytest.mark.parametrize("name", ["b5101_q2", "remark_1317"])
+def test_x_closure_inside_each_node_matches_presented_node(name):
+    # the x-closure of R in V read in S, against V presented as a ring
+    # over R, its witness fixpoint carried back into S
+    _, ext = parse_spec((FIXTURES / f"{name}.json").read_text())
+    lat = ExtensionLattice(ext)
+    S = ext.top
+    for V in lat.nodes:
+        sub, pres = lat.sub_extension(lat.bottom, V)
+        for kind in ("s", "u", "t"):
+            ref = x_closure(sub, kind).basis
+            assert x_closure(ext, kind, high=V) == Submodule.from_generators(
+                S, pres.to_ambient.apply_rows(ref)), (V.key, kind)
 
 
 def test_t_witnesses_match_full_mask_across_chunks():

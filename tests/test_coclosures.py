@@ -1,5 +1,11 @@
+from pathlib import Path
+
+import pytest
+
 from fcplat.closures import seminormalization, t_closure, u_closure
 from fcplat.coclosures import (
+    CO_KINDS,
+    co_closure,
     co_infra_integral_closure,
     co_subintegral_closure,
 )
@@ -11,9 +17,12 @@ from fcplat.ring import (
     product_ring,
     quotient_ring,
 )
+from fcplat.specfile import parse_spec
 from fcplat.spectrum import Extension
-from fcplat.submodule import subring_generated
+from fcplat.submodule import Submodule, subring_generated
 from test_ring import scalar_mul
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def prime_ext(S):
@@ -122,3 +131,47 @@ def test_co_closures_consistent_with_ordinary_closures():
     co_inf = co_infra_integral_closure(lat)
     assert co_sub.node == u_closure(ext)
     assert co_inf.node <= t_closure(ext)
+
+
+INTERVAL_CASES = {
+    "b5101_q2": lambda: parse_spec(
+        (FIXTURES / "b5101_q2.json").read_text())[1],
+    "remark_1317": lambda: parse_spec(
+        (FIXTURES / "remark_1317.json").read_text())[1],
+    "two_branch": lambda: two_branch_extension()[0],
+    # [F2, F4 x F4] has no co-infra-integral closure
+    "F4xF4": lambda: prime_ext(product_ring([galois_field(4)] * 2)[0]),
+}
+
+
+def carried(pres, sub):
+    """A span of a presented node ring, carried back into S."""
+    to_amb = pres.to_ambient
+    return Submodule.from_generators(to_amb.target, to_amb.apply_rows(sub.basis))
+
+
+@pytest.mark.parametrize("case", list(INTERVAL_CASES))
+def test_co_closure_of_each_interval_matches_presented_lattice(case):
+    # [low, high] read on the one lattice in S, against [low, high]
+    # re-enumerated with high presented as a ring, its co-closure and meet
+    # carried back into S
+    lat = ExtensionLattice(INTERVAL_CASES[case]())
+    leq = lat.leq()
+    missing = 0
+    for i, low in enumerate(lat.nodes):
+        for j in sorted(leq[i]):
+            high = lat.nodes[j]
+            sub, pres = lat.sub_extension(low, high)
+            ref_lat = ExtensionLattice(sub)
+            for kind in CO_KINDS:
+                cc = co_closure(lat, kind, low=low, high=high)
+                ref = co_closure(ref_lat, kind)
+                assert cc.exists == ref.exists, (i, j, kind)
+                assert len(cc.qualifying) == len(ref.qualifying)
+                assert cc.meet == carried(pres, ref.meet)
+                if ref.exists:
+                    assert cc.node == carried(pres, ref.node)
+                else:
+                    missing += 1
+                    assert cc.node is None and cc.certificate is not None
+    assert missing == (1 if case == "F4xF4" else 0)

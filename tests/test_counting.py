@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from fcplat.corpus import CorpusConfig, generate_corpus
 from fcplat.counting import (
     complement_count_formula,
     complement_count_lattice,
     idealizer,
+    sum_formula_table,
     t_closure_node,
     verify_sum_formula,
 )
@@ -135,7 +137,7 @@ def count_by_localized_rings(ext):
     (M,) = max_R
     S = ext.top
     tops = maximal_ideals(S)
-    if len({ext.residual_sizes(N) for N in tops}) != 1:
+    if len({S.size // N.size for N in tops}) != 1:
         return 0
     Rp = ext.bottom.as_ring()
     kR, _, lifts = quotient_ring(Rp.ring, Rp.from_ambient_rows(M.basis))
@@ -171,4 +173,19 @@ def test_count_in_s_matches_localized_rings_on_node_pairs():
         n = complement_count_formula(ext)
         assert n == count_by_localized_rings(ext), ext
         counts.add(n)
+    assert {0, 1, 2} <= counts
+
+
+def test_count_on_node_pairs_in_s_matches_presented_pairs():
+    # n[R', S'] on every pair of the sum formula, read in S on the two
+    # nodes, against S' presented as a ring over R'
+    counts = set()
+    for entry in generate_corpus(CorpusConfig(seed=0, count=60, max_size=128)):
+        lat = entry.lattice
+        for i, j in sum_formula_table(lat)[0]:
+            low, high = lat.nodes[i], lat.nodes[j]
+            n = complement_count_formula(lat.ext, low, high)
+            sub, _ = lat.sub_extension(low, high)
+            assert n == complement_count_formula(sub), (entry.name, i, j)
+            counts.add(n)
     assert {0, 1, 2} <= counts

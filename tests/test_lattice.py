@@ -172,11 +172,18 @@ def test_complements_in_partition_lattice():
 ], ids=["F64", "F2^3", "F4[y]/(y^2)"])
 def test_path_lengths_match_maximal_chains_of_each_upper_interval(make_top):
     lat = ExtensionLattice(prime_ext(make_top()))
-    for low in lat.nodes:
+    leq = lat.leq()
+    for i, low in enumerate(lat.nodes):
         # brute force: re-enumerate [low, top] and walk all its maximal chains
         upper = ExtensionLattice(Extension(lat.ambient, low))
         lengths = {len(chain) - 1 for chain in maximal_chains(upper)}
         assert lat.path_lengths(low) == (max(lengths), min(lengths))
+        # and every interval [low, high], high re-presented as a ring
+        for j in sorted(leq[i]):
+            high = lat.nodes[j]
+            inner = ExtensionLattice(lat.sub_extension(low, high)[0])
+            lengths = {len(chain) - 1 for chain in maximal_chains(inner)}
+            assert lat.path_lengths(low, high) == (max(lengths), min(lengths))
     assert lat.path_lengths() == lat.path_lengths(lat.bottom) == (
         lat.length(), lat.min_chain_length()
     )
@@ -241,6 +248,28 @@ CASES = {
     "remark_1317": lambda: fixture_ext("remark_1317.json"),
     **{name: lambda name=name: top_ext(name) for name in TOPS},
 }
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_pair_predicates_match_the_presented_extension(case):
+    # read in S on the pair (low, high), against high re-presented as a
+    # ring over low
+    lat = ExtensionLattice(CASES[case]())
+    ext = lat.ext
+    leq = lat.leq()
+    for i, low in enumerate(lat.nodes):
+        for j in sorted(leq[i]):
+            high = lat.nodes[j]
+            sub, _ = lat.sub_extension(low, high)
+            got = (ext.is_i_extension(low, high),
+                   ext.is_infra_integral(low, high),
+                   ext.is_subintegral(low, high))
+            assert got == (sub.is_i_extension(), sub.is_infra_integral(),
+                           sub.is_subintegral()), (i, j)
+    assert (ext.is_i_extension(), ext.is_infra_integral()) == (
+        ext.is_i_extension(lat.bottom, lat.top_node),
+        ext.is_infra_integral(lat.bottom, lat.top_node),
+    )
 
 
 def counting(fn, calls):
@@ -420,17 +449,14 @@ def classify_minimal_reference(ext):
     if len(over) == 2:
         N1, N2 = over
         if N1.intersect(N2) == C:
-            r1 = ext.residual_sizes(N1)
-            r2 = ext.residual_sizes(N2)
-            if r1[0] == r1[1] and r2[0] == r2[1]:
+            if B.size // N1.size == B.size // N2.size == q_res:
                 w = _least_witness(ext, C, shifted=True)
                 checks.append(MinimalClassification("decomposed", C.key, 1, w))
     if len(over) == 1 and over[0].key != C.key:
         N = over[0]
         NB = N.basis_array()
         if Submodule.from_generators(B, B.mul_pairs(NB, NB)) <= C:
-            rs = ext.residual_sizes(N)
-            if B.size // C.size == q_res**2 and rs[0] == rs[1]:
+            if B.size // C.size == q_res**2 and B.size // N.size == q_res:
                 w = _least_witness(ext, C, shifted=False)
                 checks.append(MinimalClassification("ramified", C.key, 2, w))
     if len(checks) != 1:

@@ -42,6 +42,17 @@ def test_different_arguments_do_not_collide():
     assert sizes == [mid4.size, mid8.size] == [4, 8]
 
 
+def test_three_argument_method_keys_none_as_none():
+    # path_lengths(low, high) defaults either end to the lattice's own
+    lat = ExtensionLattice(prime_ext(galois_field(64)))
+    low, mid = lat.nodes[:2]
+    assert lat.path_lengths(None, None) is lat.path_lengths(None, None)
+    assert lat.path_lengths(None, None) == lat.path_lengths() == (2, 2)
+    assert lat.path_lengths(None, mid) == lat.path_lengths(low, mid) == (1, 1)
+    assert lat.path_lengths(mid, None) == lat.path_lengths(mid, lat.top_node)
+    assert lat.path_lengths(mid, None) == (1, 1)
+
+
 def test_same_names_in_different_classes_and_modules_do_not_collide():
     F4 = galois_field(4)
     whole = Submodule.whole(F4)

@@ -169,6 +169,31 @@ def test_kappa_closures_and_formula_count_present_no_ring(monkeypatch):
         assert calls == [], (ext, calls)
 
 
+def test_interval_checks_present_no_ring(monkeypatch):
+    # the co-closures, witness closures and counts of intervals [T, U] are
+    # read on the one lattice in S; ctx.co is computed first, since
+    # prufer_hull presents the bottom's covers by design
+    names = ("coclosures_of_closures_trivial", "cosub_of_t_interval_is_u",
+             "coclosure_products", "meet_plus_u", "sum_formula")
+    checks = [(name, fn) for name, fn in suite_checks("all") if name in names]
+    assert len(checks) == len(names)
+    calls = []
+    count_calls(monkeypatch, calls)
+    passed = set()
+    for entry in generate_corpus(CorpusConfig(seed=0, count=10)):
+        ctx = ExtContext(entry.name, entry.ext, entry.lattice)
+        ctx.co
+        for name, fn in checks:
+            calls.clear()
+            result = fn(ctx)
+            assert result is not False, (entry.name, name)
+            assert not {"sub_extension", "ring_from_generators"} & set(calls), (
+                entry.name, name, calls)
+            if result:
+                passed.add(name)
+    assert passed == set(names)
+
+
 def test_radicial_check_fails_on_a_wrong_tensor_route(monkeypatch):
     # b5101_q2 is subintegral, so plus is the top; a radicial closure
     # stuck at the bottom must be caught against it
