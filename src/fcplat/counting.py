@@ -36,15 +36,10 @@ def idealizer(ext, M_sub):
     """The greatest subring R' of S in which M_sub stays an ideal.
 
     M_sub is an additive subgroup of S (a maximal ideal of a node, kept
-    in S's coordinates); the idealizer is {x in S : x * M_sub <= M_sub}.
+    in S's coordinates); the idealizer is the colon (M_sub :_S M_sub).
     """
-    S = ext.top
-    arr = S.elements_array()
-    prods = S.mul_pairs(arr, M_sub.basis_array())
-    mask = M_sub.contains_many(prods).reshape(len(arr), -1).all(axis=1)
-    sub = Subalgebra.from_generators(S, arr[mask])
-    require(sub.size == int(mask.sum()) and sub.is_subring()
-            and ext.bottom <= sub,
+    sub = Subalgebra(ext.top, M_sub.colon(M_sub).hrows)
+    require(sub.is_subring() and ext.bottom <= sub,
             "the idealizer must be a subring over the bottom")
     return sub
 

@@ -8,8 +8,6 @@ import json
 
 from .minimal import edge_labels
 
-EDGE_SHORT = {"inert": "i", "decomposed": "d", "ramified": "r"}
-
 
 def jsonable(value):
     """Recursively convert tuples (canonical keys) into JSON-safe lists."""
@@ -42,7 +40,7 @@ def lattice_report(lattice):
             for i, n in enumerate(lattice.nodes)
         ],
         "edges": [
-            {"from": i, "to": j, "label": EDGE_SHORT[labels[(i, j)].kind]}
+            {"from": i, "to": j, "label": labels[(i, j)].short}
             for i, j in lattice.hasse_edges()
         ],
     }
@@ -55,7 +53,6 @@ def export_dot(lattice):
     for i, n in enumerate(lattice.nodes):
         lines.append(f'  n{i} [label="n{i} (size {n.size})"];')
     for i, j in lattice.hasse_edges():
-        short = EDGE_SHORT[labels[(i, j)].kind]
-        lines.append(f'  n{i} -> n{j} [label="{short}"];')
+        lines.append(f'  n{i} -> n{j} [label="{labels[(i, j)].short}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -38,7 +38,7 @@ from .structure import (
     maximal_ideals,
     residue_field,
 )
-from .submodule import Subalgebra, Submodule, conductor, ideal_generated
+from .submodule import Ideal, Subalgebra, Submodule, ideal_generated
 
 
 class Extension:
@@ -60,8 +60,9 @@ class Extension:
 
     @memo
     def conductor_ideal(self):
-        """(R : S), an ideal of S contained in R."""
-        return conductor(self.bottom)
+        """(R :_S S), an ideal of S contained in R."""
+        S = self.top
+        return Ideal(S, self.bottom.colon(Submodule.whole(S)).hrows)
 
     # -- lying over ----------------------------------------------------
 

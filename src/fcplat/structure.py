@@ -1,16 +1,17 @@
 """Structural analysis of a finite commutative ring.
 
-Idempotents, the nilradical, maximal ideals and local factors.  A finite
+Idempotents, the nilradical J, maximal ideals and local factors.  A finite
 commutative ring is a finite product of local rings; the primitive
-idempotents cut out those factors, and the maximal ideal of each factor is
-exactly its set of nilpotents, which keeps everything elementary.
+idempotents e cut out those factors, and the maximal ideal of the factor at
+e is its set of nilpotents, so M_e = {x : x*e nilpotent} is the colon
+(J : e), one Howell form.  J and the idempotents are masks over the elements.
 """
 
 import numpy as np
 
 from .memo import memo
 from .ring import quotient_ring, require
-from .submodule import Ideal, ideal_generated
+from .submodule import Ideal, Submodule, ideal_generated
 
 
 def _nilpotent_mask(R, X):
@@ -51,15 +52,11 @@ def nilradical(R):
 
 @memo
 def max_ideal_idempotent_pairs(R):
-    """Pairs (e, M_e) with e primitive idempotent and M_e = {x : x*e nilpotent},
-    sorted by the canonical key of the ideal."""
-    arr = R.elements_array()
-    prims = primitive_idempotents(R)
-    prods = R.mul_pairs(arr, prims)
-    out = []
-    for b, e in enumerate(prims):
-        mask = _nilpotent_mask(R, prods[:, b])
-        out.append((e, Ideal.from_generators(R, arr[mask])))
+    """Pairs (e, M_e), e primitive idempotent and M_e = {x : x*e nilpotent}
+    = (J :_R e) for J the nilradical, sorted by the key of the ideal."""
+    J = nilradical(R)
+    out = [(e, Ideal(R, J.colon(Submodule.from_generators(R, [e])).hrows))
+           for e in primitive_idempotents(R)]
     out.sort(key=lambda em: em[1].key)
     require(len(set(m.key for _, m in out)) == len(out),
             "distinct primitive idempotents give distinct maximal ideals")

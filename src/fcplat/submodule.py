@@ -2,11 +2,11 @@
 
 A Submodule is canonicalized by the Howell form of its generators inside
 (Z/L)^n after coordinate scaling, so equal subsets always compare equal and
-hash alike.  Sums, intersections, generated ideals and each adjunction of
-an element to a subring are one Howell form; membership is one batched
-Howell reduction (`contains_many`).  The members of a span are enumerated
-only where a caller needs them, once, by a mixed-radix walk of the Howell
-basis into the sorted `elements_array`.
+hash alike.  Sums, intersections, colons (A :_S B), generated ideals and
+each adjunction of an element to a subring are one Howell form; membership
+is one batched Howell reduction (`contains_many`).  The members of a span
+are enumerated only where a caller needs them, once, by a mixed-radix walk
+of the Howell basis into the sorted `elements_array`.
 """
 
 import numpy as np
@@ -178,6 +178,26 @@ class Submodule:
         h = howell_form([b + zero for b in other.hrows], 2 * n, amb.L, seed)
         return type(self)(amb, tuple(r[n:] for r in h if not any(r[:n])))
 
+    def colon(self, other):
+        """(self :_S other) = {x in S : x * other <= self}, S the ambient.
+
+        `intersect`'s Zassenhaus construction, with a head block for each
+        basis row b_k of other: the rows (e_i b_1, ..., e_i b_m, e_i) over
+        S's basis e_i, and self's Howell rows in every head block (copies of
+        a Howell form down the diagonal are one), span the (x b_k + a_k, x),
+        so the tails of the Howell rows with zero head are the colon's.
+        """
+        amb, n = self.ambient, self.ambient.rank
+        B = other.basis_array()
+        m, eye, zero = len(B), np.eye(n, dtype=np.int64), (0,) * n
+        rows = np.hstack([amb.mul_pairs(eye, B).reshape(n, m * n), eye])
+        rows = scale_rows(rows, amb.np_orders, amb.L).reshape(n, -1).tolist()
+        seed = tuple(zero * k + a + zero * (m - k)
+                     for k in range(m) for a in self.hrows)
+        h = howell_form(rows, (m + 1) * n, amb.L, seed)
+        head = m * n
+        return Submodule(amb, tuple(r[head:] for r in h if not any(r[:head])))
+
     def is_subring(self):
         """Does the span hold 1 and the products of its basis rows?"""
         amb = self.ambient
@@ -238,15 +258,3 @@ def ideal_generated(ambient, gens):
     prods = ambient.mul_pairs(gens, eye).reshape(-1, ambient.rank)
     return Ideal.from_generators(ambient, prods)
 
-
-def conductor(sub):
-    """(sub : S) = {x in S : x*S is contained in sub}, as an ideal of S.
-
-    `sub` is an additive subgroup of S containing 1's multiples; the result
-    is simultaneously an ideal of S and of every subring containing it.
-    """
-    S = sub.ambient
-    arr = S.elements_array()
-    prods = S.mul_pairs(arr, np.eye(S.rank, dtype=np.int64))
-    mask = sub.contains_many(prods).reshape(S.size, S.rank).all(axis=1)
-    return Ideal.from_generators(S, arr[mask])

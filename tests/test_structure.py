@@ -20,7 +20,8 @@ from fcplat.structure import (
     primitive_idempotents,
     residue_field,
 )
-from fcplat.submodule import conductor, ideal_generated, subring_generated
+from fcplat.spectrum import Extension
+from fcplat.submodule import ideal_generated, subring_generated
 from test_ring import scalar_mul
 
 
@@ -125,7 +126,7 @@ def test_conductor_diagonal_in_square():
     diag_t = pack([t, t])
     bottom = subring_generated(S, [diag_t])
     assert bottom.size == 4
-    c = conductor(bottom)
+    c = Extension(S, bottom).conductor_ideal()
     assert c.size == 1
     assert ideal_generated(S, c.basis_array()) == c
 
@@ -138,7 +139,7 @@ def test_conductor_nontrivial():
     t1 = pack([t, R.zero_vec()])
     mid = subring_generated(S, [diag_t, t1])
     assert mid.size == 8
-    c = conductor(mid)
+    c = Extension(S, mid).conductor_ideal()
     assert c.size == 4
     assert ideal_generated(S, c.basis_array()) == c
     for v in c.elements():
@@ -150,7 +151,7 @@ def test_conductor_field_extension_is_everything_or_proper():
     F4 = galois_field(4)
     bottom = subring_generated(F4, [])
     assert bottom.size == 2
-    c = conductor(bottom)
+    c = Extension(F4, bottom).conductor_ideal()
     assert c.size == 1  # no nonzero ideal of F4 fits inside F2
 
 
